@@ -16,14 +16,8 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import NoEventsError, SelectionFailedError
-from .estimators import (
-    _conditional_survival_values,
-    _grid_counts,
-    _jumps_from_survival,
-    _product_limit_rows,
-    _sort_order,
-)
-from .kernels import DEFAULT_KERNEL, KernelSpec, integrated_kernel_fn, kernel_fn
+from .estimators import _CurveBatch, _single_curve
+from .kernels import DEFAULT_KERNEL, KernelSpec
 from .resampling import SCHEME_BERAN, SCHEME_SMOOTHED, ResamplingPlan, child_seed, resample
 from .samples import SurvivalSample, TimeGrid
 
@@ -42,8 +36,11 @@ __all__ = [
 ]
 
 _PENALTY = 1e12
-_START_FRACTIONS_1D = (0.1, 0.3, 0.5, 0.7, 0.9)
-_START_FRACTIONS_2D = ((0.25, 0.25), (0.25, 0.75), (0.5, 0.5), (0.75, 0.25), (0.75, 0.75))
+# multistart starting points, as fractions of each search interval, by dimension
+_START_FRACTIONS = {
+    1: (0.1, 0.3, 0.5, 0.7, 0.9),
+    2: ((0.25, 0.25), (0.25, 0.75), (0.5, 0.5), (0.75, 0.25), (0.75, 0.75)),
+}
 
 
 @dataclass(frozen=True)
@@ -116,104 +113,12 @@ def default_time_box(sample: SurvivalSample) -> tuple[float, float]:
     return (0.01 * spread, spread)
 
 
-class _CurveBatch:
-    """Stacked, pre-sorted bootstrap resamples for repeated curve evaluation.
-
-    Everything that does not depend on the candidate bandwidths (sort orders,
-    grid step positions, distinct jump locations) is precomputed once.
-    Boundary reflection enters through folded kernel weights, so all
-    product-limit arrays keep the original sample length.
-    """
-
-    def __init__(self, resamples, points, kernel: KernelSpec, support):
-        xs = np.stack([rs.x for rs in resamples])
-        zs = np.stack([rs.z for rs in resamples])
-        ds = np.stack([rs.delta for rs in resamples])
-        self.B, n = xs.shape
-        if support is None:
-            self._x_kern = xs
-            self._folded = False
-        else:
-            a, b = support
-            if not b > a:
-                raise ValueError("support must satisfy a < b")
-            if np.any(xs < a) or np.any(xs > b):
-                raise ValueError("all covariates must lie inside the declared support")
-            self._x_kern = np.concatenate([xs, 2.0 * a - xs, 2.0 * b - xs], axis=1)
-            self._folded = True
-        orders = np.stack([_sort_order(z, d) for z, d in zip(zs, ds)])
-        self._orders = orders
-        self.z = np.take_along_axis(zs, orders, axis=1)
-        self.d = np.take_along_axis(ds, orders, axis=1)
-        self.points = np.asarray(points, dtype=float)
-        self._kfn = kernel_fn(kernel)
-        self._ikfn = integrated_kernel_fn(kernel)
-        self._counts = np.stack([_grid_counts(z, self.points) for z in self.z])
-        self._smooth_ready = False
-        self._ik_cache: dict[float, np.ndarray] = {}
-
-    def _survival_rows(self, x0: float, h: float):
-        k = self._kfn((x0 - self._x_kern) / h)
-        if self._folded:
-            k = k.reshape(self.B, 3, -1).sum(axis=1)
-        tot = k.sum(axis=1, keepdims=True)
-        ok = tot[:, 0] > 0.0
-        w = k / np.where(tot > 0.0, tot, 1.0)
-        w = np.take_along_axis(w, self._orders, axis=1)
-        return _product_limit_rows(w, self.d), ok
-
-    def beran_values(self, x0: float, h: float):
-        surv, ok = self._survival_rows(x0, h)
-        padded = np.concatenate([np.ones((self.B, 1)), surv], axis=1)
-        return np.take_along_axis(padded, self._counts, axis=1), ok
-
-    def _prepare_smooth(self):
-        # jump masses live only at uncensored positions, so the integrated
-        # kernel tensor is built over the distinct uncensored times per row
-        event_idx, starts, uniq = [], [], []
-        for z, d in zip(self.z, self.d):
-            idx = np.flatnonzero(d == 1.0)
-            z_ev = z[idx]
-            st = (
-                np.concatenate(([0], np.flatnonzero(np.diff(z_ev) > 0.0) + 1))
-                if idx.size
-                else np.empty(0, dtype=int)
-            )
-            event_idx.append(idx)
-            starts.append(st)
-            uniq.append(z_ev[st])
-        width = max(1, max(u.size for u in uniq))
-        atoms = np.full((self.B, width), np.inf)
-        for k, u in enumerate(uniq):
-            atoms[k, : u.size] = u
-        self._event_idx = event_idx
-        self._starts = starts
-        self._atoms = atoms
-        self._smooth_ready = True
-
-    def _ik_tensor(self, g: float) -> np.ndarray:
-        key = float(g)
-        tensor = self._ik_cache.get(key)
-        if tensor is None:
-            if len(self._ik_cache) >= 4:
-                self._ik_cache.pop(next(iter(self._ik_cache)))
-            tensor = self._ikfn((self.points[None, :, None] - self._atoms[:, None, :]) / key)
-            self._ik_cache[key] = tensor
-        return tensor
-
-    def smoothed_values(self, x0: float, h: float, g: float):
-        if not self._smooth_ready:
-            self._prepare_smooth()
-        surv, ok = self._survival_rows(x0, h)
-        jumps = _jumps_from_survival(surv)
-        agg = np.zeros_like(self._atoms)
-        for k in range(self.B):
-            if self._starts[k].size:
-                red = np.add.reduceat(jumps[k, self._event_idx[k]], self._starts[k])
-                agg[k, : red.size] = red
-        vals = 1.0 - np.einsum("ktu,ku->kt", self._ik_tensor(g), agg)
-        np.clip(vals, 0.0, 1.0, out=vals)
-        return vals, ok
+def _resampling_plan(estimator: str, sample, c: float, seed: int, B: int) -> ResamplingPlan:
+    """The bootstrap plan that selection and regions use for an estimator."""
+    r = pilot_r(sample, c)
+    if estimator == "beran":
+        return ResamplingPlan(SCHEME_BERAN, r, seed, B)
+    return ResamplingPlan(SCHEME_SMOOTHED, r, seed, B, pilot_s=pilot_s(sample))
 
 
 def _mean_integrated_sq(values, ok, pilot_vals, widths) -> float:
@@ -229,12 +134,25 @@ def _resamples_or_generate(sample, plan, kernel, support, resamples):
     return resample(sample, plan, kernel, support)[0]
 
 
+def _check_scheme(plan, n_bandwidths: int, name: str) -> None:
+    # one bandwidth goes with the beran scheme, the pair (h, g) with the smoothed one
+    scheme = SCHEME_BERAN if n_bandwidths == 1 else SCHEME_SMOOTHED
+    if plan.scheme != scheme:
+        raise ValueError(f"{name} requires a {scheme}-scheme plan")
+
+
 def _pilot_values(sample, x0, plan, points, kernel, support):
-    if plan.scheme == SCHEME_BERAN:
-        return _conditional_survival_values(sample, x0, plan.pilot_r, points, kernel, support)
-    return _conditional_survival_values(
-        sample, x0, plan.pilot_r, points, kernel, support, g=plan.pilot_s
-    )
+    g = plan.pilot_s if plan.scheme == SCHEME_SMOOTHED else None
+    return _single_curve(sample, x0, plan.pilot_r, points, kernel, support, g)
+
+
+def _bootstrap_mise(name, sample, x0, bandwidths, plan, grid, kernel, support, resamples) -> float:
+    _check_scheme(plan, len(bandwidths), name)
+    rs = _resamples_or_generate(sample, plan, kernel, support, resamples)
+    batch = _CurveBatch(rs, grid.points, kernel, support)
+    pilot = _pilot_values(sample, x0, plan, grid.points, kernel, support)
+    values, ok = batch.values(x0, *(float(b) for b in bandwidths))
+    return _mean_integrated_sq(values, ok, pilot, grid.cell_widths)
 
 
 def bootstrap_mise_1d(
@@ -252,13 +170,9 @@ def bootstrap_mise_1d(
     Averages the grid Riemann sum of (bootstrap curve - pilot curve)^2 over
     the plan's resamples; +inf when the weights at x0 degenerate for this h.
     """
-    if plan.scheme != SCHEME_BERAN:
-        raise ValueError("bootstrap_mise_1d requires a beran-scheme plan")
-    rs = _resamples_or_generate(sample, plan, kernel, support, resamples)
-    batch = _CurveBatch(rs, grid.points, kernel, support)
-    pilot = _pilot_values(sample, x0, plan, grid.points, kernel, support)
-    values, ok = batch.beran_values(x0, float(h))
-    return _mean_integrated_sq(values, ok, pilot, grid.cell_widths)
+    return _bootstrap_mise(
+        "bootstrap_mise_1d", sample, x0, (h,), plan, grid, kernel, support, resamples
+    )
 
 
 def bootstrap_mise_2d(
@@ -273,13 +187,9 @@ def bootstrap_mise_2d(
     resamples=None,
 ) -> float:
     """Bootstrap MISE of the smoothed estimator at the candidate pair (h, g)."""
-    if plan.scheme != SCHEME_SMOOTHED:
-        raise ValueError("bootstrap_mise_2d requires a smoothed-beran-scheme plan")
-    rs = _resamples_or_generate(sample, plan, kernel, support, resamples)
-    batch = _CurveBatch(rs, grid.points, kernel, support)
-    pilot = _pilot_values(sample, x0, plan, grid.points, kernel, support)
-    values, ok = batch.smoothed_values(x0, float(h), float(g))
-    return _mean_integrated_sq(values, ok, pilot, grid.cell_widths)
+    return _bootstrap_mise(
+        "bootstrap_mise_2d", sample, x0, (h, g), plan, grid, kernel, support, resamples
+    )
 
 
 def bootstrap_mse_pointwise(
@@ -293,17 +203,13 @@ def bootstrap_mse_pointwise(
     resamples=None,
 ) -> float:
     """Bootstrap mean squared error at a single time point t0."""
-    if plan.scheme != SCHEME_BERAN:
-        raise ValueError("bootstrap_mse_pointwise requires a beran-scheme plan")
+    _check_scheme(plan, 1, "bootstrap_mse_pointwise")
     points = np.asarray([float(t0)])
     rs = _resamples_or_generate(sample, plan, kernel, support, resamples)
     batch = _CurveBatch(rs, points, kernel, support)
     pilot = _pilot_values(sample, x0, plan, points, kernel, support)
-    values, ok = batch.beran_values(x0, float(h))
-    if not ok.all():
-        return float("inf")
-    diff = values[:, 0] - pilot[0]
-    return float(np.mean(diff * diff))
+    values, ok = batch.values(x0, float(h))
+    return _mean_integrated_sq(values, ok, pilot, np.ones(1))
 
 
 def _validate_box(box, name):
@@ -320,59 +226,86 @@ def _best_traced(trace) -> tuple:
     return min(finite, key=lambda entry: entry[-1])
 
 
-def _minimize_1d(objective, box, strategy, grid_size, trace) -> float:
-    lo, hi = box
-    if strategy == "grid":
-        for h in np.linspace(lo, hi, grid_size):
-            trace.append((float(h), float(objective(float(h)))))
-    elif strategy == "multistart":
-        eps = max(1e-4 * (hi - lo), 1e-10)
+def _minimize(objective, boxes, strategy, grid_size, trace) -> tuple:
+    """Minimize objective(h) or objective(h, g) over one or two search intervals.
 
-        def wrapped(theta):
-            value = objective(float(theta[0]))
-            trace.append((float(theta[0]), float(value)))
+    Every evaluation is appended to `trace` as (h[, g], value), and the best
+    finite entry is returned.  "grid" evaluates the grid_size-point mesh
+    with g as the outer loop, so the integrated-kernel tensor is built once
+    per g value; "multistart" runs bounded L-BFGS-B with numerical gradients
+    from fixed starts, with non-finite values replaced by a large penalty.
+    """
+
+    def evaluate(theta) -> float:
+        point = tuple(float(v) for v in theta)
+        value = float(objective(*point))
+        trace.append((*point, value))
+        return value
+
+    if strategy == "grid":
+        axes = [np.linspace(lo, hi, grid_size) for lo, hi in reversed(boxes)]
+        for outer_first in itertools.product(*axes):
+            evaluate(outer_first[::-1])
+    elif strategy == "multistart":
+        lo, hi = np.array(boxes, dtype=float).T
+        eps = np.maximum(1e-4 * (hi - lo), 1e-10)
+
+        def penalized(theta):
+            value = evaluate(theta)
             return value if np.isfinite(value) else _PENALTY
 
-        for frac in _START_FRACTIONS_1D:
+        for frac in _START_FRACTIONS[len(boxes)]:
             minimize(
-                wrapped,
-                x0=[lo + frac * (hi - lo)],
+                penalized,
+                x0=lo + np.asarray(frac) * (hi - lo),
                 method="L-BFGS-B",
-                bounds=[(lo, hi)],
+                bounds=list(boxes),
                 options={"eps": eps, "maxiter": 80, "ftol": 1e-14, "gtol": 1e-12},
             )
     else:
         raise ValueError(f"unknown strategy: {strategy!r}")
-    return float(_best_traced(trace)[0])
+    return _best_traced(trace)
 
 
-def _minimize_2d(objective, box_h, box_g, strategy, grid_size, trace) -> tuple[float, float]:
-    (lo_h, hi_h), (lo_g, hi_g) = box_h, box_g
-    if strategy == "grid":
-        # g outer so the integrated-kernel tensor is built once per g value
-        for g in np.linspace(lo_g, hi_g, grid_size):
-            for h in np.linspace(lo_h, hi_h, grid_size):
-                trace.append((float(h), float(g), float(objective(float(h), float(g)))))
-    elif strategy == "multistart":
-        eps = np.array([max(1e-4 * (hi_h - lo_h), 1e-10), max(1e-4 * (hi_g - lo_g), 1e-10)])
+def _select(sample, x0, boxes, plan, grid, kernel, strategy, grid_size, support, resamples,
+            fresh_resamples) -> BandwidthSelection:
+    """Bootstrap MISE minimization over h alone (one box) or over (h, g) (two boxes)."""
+    _check_scheme(plan, len(boxes), f"select_bandwidth_{len(boxes)}d")
+    labels = ("search box",) if len(boxes) == 1 else ("covariate search box", "time search box")
+    boxes = tuple(_validate_box(box, label) for box, label in zip(boxes, labels))
+    pilot = _pilot_values(sample, x0, plan, grid.points, kernel, support)
+    widths = grid.cell_widths
 
-        def wrapped(theta):
-            value = objective(float(theta[0]), float(theta[1]))
-            trace.append((float(theta[0]), float(theta[1]), float(value)))
-            return value if np.isfinite(value) else _PENALTY
+    if fresh_resamples:
+        counter = itertools.count(1)
 
-        for fh, fg in _START_FRACTIONS_2D:
-            minimize(
-                wrapped,
-                x0=[lo_h + fh * (hi_h - lo_h), lo_g + fg * (hi_g - lo_g)],
-                method="L-BFGS-B",
-                bounds=[(lo_h, hi_h), (lo_g, hi_g)],
-                options={"eps": eps, "maxiter": 80, "ftol": 1e-14, "gtol": 1e-12},
-            )
+        def batch_for_candidate():
+            seed = child_seed(plan.seed, next(counter))
+            rs = resample(sample, replace(plan, seed=seed), kernel, support)[0]
+            return _CurveBatch(rs, grid.points, kernel, support)
+
     else:
-        raise ValueError(f"unknown strategy: {strategy!r}")
-    best = _best_traced(trace)
-    return float(best[0]), float(best[1])
+        rs = _resamples_or_generate(sample, plan, kernel, support, resamples)
+        shared = _CurveBatch(rs, grid.points, kernel, support)
+
+        def batch_for_candidate():
+            return shared
+
+    def objective(*bandwidths) -> float:
+        return _mean_integrated_sq(*batch_for_candidate().values(x0, *bandwidths), pilot, widths)
+
+    trace: list = []
+    best = _minimize(objective, boxes, strategy, grid_size, trace)
+    return BandwidthSelection(
+        h_star=best[0],
+        g_star=best[1] if len(boxes) == 2 else None,
+        search_box=boxes,
+        objective_trace=trace,
+        B=plan.B,
+        seed=plan.seed,
+        pilot_r=plan.pilot_r,
+        pilot_s=plan.pilot_s,
+    )
 
 
 def select_bandwidth_1d(
@@ -396,40 +329,8 @@ def select_bandwidth_1d(
     `fresh_resamples` each candidate draws its own resample set instead of
     sharing one, at the cost of a noisier objective.
     """
-    if plan.scheme != SCHEME_BERAN:
-        raise ValueError("select_bandwidth_1d requires a beran-scheme plan")
-    box = _validate_box(box, "search box")
-    pilot = _pilot_values(sample, x0, plan, grid.points, kernel, support)
-    widths = grid.cell_widths
-
-    if fresh_resamples:
-        counter = itertools.count(1)
-
-        def objective(h: float) -> float:
-            seed = child_seed(plan.seed, next(counter))
-            rs = resample(sample, replace(plan, seed=seed), kernel, support)[0]
-            batch = _CurveBatch(rs, grid.points, kernel, support)
-            return _mean_integrated_sq(*batch.beran_values(x0, h), pilot, widths)
-
-    else:
-        rs = _resamples_or_generate(sample, plan, kernel, support, resamples)
-        batch = _CurveBatch(rs, grid.points, kernel, support)
-
-        def objective(h: float) -> float:
-            return _mean_integrated_sq(*batch.beran_values(x0, h), pilot, widths)
-
-    trace: list = []
-    h_star = _minimize_1d(objective, box, strategy, grid_size, trace)
-    return BandwidthSelection(
-        h_star=h_star,
-        g_star=None,
-        search_box=(box,),
-        objective_trace=trace,
-        B=plan.B,
-        seed=plan.seed,
-        pilot_r=plan.pilot_r,
-        pilot_s=plan.pilot_s,
-    )
+    return _select(sample, x0, (box,), plan, grid, kernel, strategy, grid_size, support,
+                   resamples, fresh_resamples)
 
 
 def select_bandwidth_2d(
@@ -451,38 +352,5 @@ def select_bandwidth_2d(
     The "grid" strategy uses a grid_size x grid_size mesh; "multistart" runs
     the bounded quasi-Newton search from five spread-out starts.
     """
-    if plan.scheme != SCHEME_SMOOTHED:
-        raise ValueError("select_bandwidth_2d requires a smoothed-beran-scheme plan")
-    box_h = _validate_box(box_h, "covariate search box")
-    box_g = _validate_box(box_g, "time search box")
-    pilot = _pilot_values(sample, x0, plan, grid.points, kernel, support)
-    widths = grid.cell_widths
-
-    if fresh_resamples:
-        counter = itertools.count(1)
-
-        def objective(h: float, g: float) -> float:
-            seed = child_seed(plan.seed, next(counter))
-            rs = resample(sample, replace(plan, seed=seed), kernel, support)[0]
-            batch = _CurveBatch(rs, grid.points, kernel, support)
-            return _mean_integrated_sq(*batch.smoothed_values(x0, h, g), pilot, widths)
-
-    else:
-        rs = _resamples_or_generate(sample, plan, kernel, support, resamples)
-        batch = _CurveBatch(rs, grid.points, kernel, support)
-
-        def objective(h: float, g: float) -> float:
-            return _mean_integrated_sq(*batch.smoothed_values(x0, h, g), pilot, widths)
-
-    trace: list = []
-    h_star, g_star = _minimize_2d(objective, box_h, box_g, strategy, grid_size, trace)
-    return BandwidthSelection(
-        h_star=h_star,
-        g_star=g_star,
-        search_box=(box_h, box_g),
-        objective_trace=trace,
-        B=plan.B,
-        seed=plan.seed,
-        pilot_r=plan.pilot_r,
-        pilot_s=plan.pilot_s,
-    )
+    return _select(sample, x0, (box_h, box_g), plan, grid, kernel, strategy, grid_size, support,
+                   resamples, fresh_resamples)

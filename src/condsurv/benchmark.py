@@ -23,18 +23,20 @@ from pathlib import Path
 import numpy as np
 
 from .bandwidth import (
-    _CurveBatch,
+    _mean_integrated_sq,
+    _minimize,
     _quantile_spread,
+    _resampling_plan,
+    _select,
     default_covariate_box,
     default_time_box,
     pilot_r,
-    pilot_s,
     select_bandwidth_1d,
-    select_bandwidth_2d,
 )
+from .estimators import _CurveBatch
 from .kernels import DEFAULT_KERNEL, KernelSpec
 from .regions import region_method1, region_method2
-from .resampling import SCHEME_BERAN, SCHEME_SMOOTHED, ResamplingPlan, child_seed, resample, substream
+from .resampling import SCHEME_BERAN, ResamplingPlan, child_seed, resample, substream
 from .samples import TimeGrid, integrate_on_grid
 from .simulation import SimModel, generate_sample, make_model
 
@@ -168,17 +170,11 @@ def mc_mise(
             for s in samples
         ]
         return float(np.mean(integrals))
-    batch = _CurveBatch(samples, grid.points, kernel, model.support)
-    if estimator == "beran":
-        values, ok = batch.beran_values(model.x0, float(h))
-    elif estimator == "smoothed-beran":
-        values, ok = batch.smoothed_values(model.x0, float(h), float(g))
-    else:
+    if estimator not in ("beran", "smoothed-beran"):
         raise ValueError(f"unknown estimator: {estimator!r}")
-    if not ok.all():
-        return float("inf")
-    diff = values - truth
-    return float(np.mean((diff * diff) @ widths))
+    batch = _CurveBatch(samples, grid.points, kernel, model.support)
+    g = None if estimator == "beran" else float(g)
+    return _mean_integrated_sq(*batch.values(model.x0, float(h), g), truth, widths)
 
 
 def _truth_and_batch(model, grid, n_samples, n, seed, kernel):
@@ -186,6 +182,20 @@ def _truth_and_batch(model, grid, n_samples, n, seed, kernel):
     batch = _CurveBatch(samples, grid.points, kernel, model.support)
     truth = np.asarray(model.true_survival(grid.points, model.x0))
     return batch, truth
+
+
+def _mise_optimal(model, boxes, grid, n_samples, n, n_candidates, seed, kernel):
+    """Grid search for the MISE-optimal h, or pair (h, g); returns (bandwidths, rmise).
+
+    The same Monte Carlo samples are reused for every candidate.
+    """
+    batch, truth = _truth_and_batch(model, grid, n_samples, n, seed, kernel)
+
+    def objective(h, g=None):
+        return _mean_integrated_sq(*batch.values(model.x0, h, g), truth, grid.cell_widths)
+
+    *bandwidths, mise = _minimize(objective, boxes, "grid", n_candidates, [])
+    return tuple(bandwidths), float(np.sqrt(mise))
 
 
 def mise_optimal_1d(
@@ -199,24 +209,9 @@ def mise_optimal_1d(
     seed: int,
     kernel: KernelSpec = DEFAULT_KERNEL,
 ) -> tuple[float, float]:
-    """Grid search for the MISE-optimal Beran bandwidth; returns (h, rmise).
-
-    The same Monte Carlo samples are reused for every candidate.
-    """
-    batch, truth = _truth_and_batch(model, grid, n_samples, n, seed, kernel)
-    widths = grid.cell_widths
-    best_h, best_val = None, np.inf
-    for h in np.linspace(box[0], box[1], n_candidates):
-        values, ok = batch.beran_values(model.x0, float(h))
-        if not ok.all():
-            continue
-        diff = values - truth
-        val = float(np.mean((diff * diff) @ widths))
-        if val < best_val:
-            best_h, best_val = float(h), val
-    if best_h is None:
-        raise ValueError("no candidate bandwidth produced a finite MISE")
-    return best_h, float(np.sqrt(best_val))
+    """Grid search for the MISE-optimal Beran bandwidth; returns (h, rmise)."""
+    (h,), rmise = _mise_optimal(model, (box,), grid, n_samples, n, n_candidates, seed, kernel)
+    return h, rmise
 
 
 def mise_optimal_2d(
@@ -232,21 +227,10 @@ def mise_optimal_2d(
     kernel: KernelSpec = DEFAULT_KERNEL,
 ) -> tuple[float, float, float]:
     """Mesh search for the MISE-optimal smoothed pair; returns (h, g, rmise)."""
-    batch, truth = _truth_and_batch(model, grid, n_samples, n, seed, kernel)
-    widths = grid.cell_widths
-    best, best_val = None, np.inf
-    for h in np.linspace(box_h[0], box_h[1], n_candidates):
-        for g in np.linspace(box_g[0], box_g[1], n_candidates):
-            values, ok = batch.smoothed_values(model.x0, float(h), float(g))
-            if not ok.all():
-                continue
-            diff = values - truth
-            val = float(np.mean((diff * diff) @ widths))
-            if val < best_val:
-                best, best_val = (float(h), float(g)), val
-    if best is None:
-        raise ValueError("no candidate pair produced a finite MISE")
-    return best[0], best[1], float(np.sqrt(best_val))
+    (h, g), rmise = _mise_optimal(
+        model, (box_h, box_g), grid, n_samples, n, n_candidates, seed, kernel
+    )
+    return h, g, rmise
 
 
 def relative_metrics(
@@ -324,33 +308,20 @@ def region_metrics(regions, model: SimModel) -> RegionMetrics:
     )
 
 
-def _build_plan(sample, model, config, j) -> ResamplingPlan:
-    seed = child_seed(config.seed, 1, j)
-    r = pilot_r(sample, model.pilot_c)
-    if config.estimator == "beran":
-        return ResamplingPlan(SCHEME_BERAN, r, seed, config.B)
-    return ResamplingPlan(SCHEME_SMOOTHED, r, seed, config.B, pilot_s=pilot_s(sample))
-
-
-def _select_task(config, model, grid, box_h, box_g, j):
+def _select_task(config, model, grid, boxes, j):
     sample = generate_sample(model, config.n, substream(config.seed, 0, j))
-    plan = _build_plan(sample, model, config, j)
-    if config.estimator == "beran":
-        sel = select_bandwidth_1d(
-            sample, model.x0, box_h, plan, grid,
-            strategy=config.strategy, grid_size=config.grid_size, support=model.support,
-        )
-    else:
-        sel = select_bandwidth_2d(
-            sample, model.x0, box_h, box_g, plan, grid,
-            strategy=config.strategy, grid_size=config.grid_size, support=model.support,
-        )
-    return sel
+    plan = _resampling_plan(config.estimator, sample, model.pilot_c, child_seed(config.seed, 1, j),
+                            config.B)
+    return _select(
+        sample, model.x0, boxes, plan, grid, DEFAULT_KERNEL, strategy=config.strategy,
+        grid_size=config.grid_size, support=model.support, resamples=None, fresh_resamples=False,
+    )
 
 
 def _region_task(config, model, grid, h, g, j):
     sample = generate_sample(model, config.n, substream(config.seed, 0, j))
-    plan = _build_plan(sample, model, config, j)
+    plan = _resampling_plan(config.estimator, sample, model.pilot_c, child_seed(config.seed, 1, j),
+                            config.B)
     shared = resample(sample, plan, DEFAULT_KERNEL, model.support)[0]
     out = {}
     for method in config.methods:
@@ -417,22 +388,19 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         alpha=config.alpha,
     )
 
+    smoothed = config.estimator == "smoothed-beran"
+    boxes = (box_h, box_g) if smoothed else (box_h,)
+    h, g = config.bandwidth_h, config.bandwidth_g
+    if config.mode == "bandwidth" or h is None:
+        bandwidths, rmise_opt = _mise_optimal(
+            model, boxes, grid, config.mise_samples, config.n, config.mise_grid,
+            child_seed(config.seed, 4), DEFAULT_KERNEL,
+        )
+        h, g = bandwidths if smoothed else (bandwidths[0], g)
+
     if config.mode == "bandwidth":
-        mise_seed = child_seed(config.seed, 4)
-        if config.estimator == "beran":
-            h_mise, rmise_opt = mise_optimal_1d(
-                model, box_h, grid,
-                n_samples=config.mise_samples, n=config.n,
-                n_candidates=config.mise_grid, seed=mise_seed,
-            )
-            g_mise = None
-        else:
-            h_mise, g_mise, rmise_opt = mise_optimal_2d(
-                model, box_h, box_g, grid,
-                n_samples=config.mise_samples, n=config.n,
-                n_candidates=config.mise_grid, seed=mise_seed,
-            )
-        task = partial(_select_task, config, model, grid, box_h, box_g)
+        h_mise, g_mise = h, g if smoothed else None
+        task = partial(_select_task, config, model, grid, boxes)
         selections, incomplete = _map_with_budget(task, config.n_samples, config.workers, deadline)
         report.incomplete = incomplete
         report.samples_completed = len(selections)
@@ -442,15 +410,10 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             eval_batch, truth = _truth_and_batch(
                 model, grid, config.mise_samples, config.n, eval_seed, DEFAULT_KERNEL
             )
-            widths = grid.cell_widths
 
             def rmise_at(h, g=None):
-                if config.estimator == "beran":
-                    values, ok = eval_batch.beran_values(model.x0, h)
-                else:
-                    values, ok = eval_batch.smoothed_values(model.x0, h, g)
-                diff = values - truth
-                return float(np.sqrt(np.mean((diff * diff) @ widths)))
+                values, ok = eval_batch.values(model.x0, h, g)
+                return float(np.sqrt(_mean_integrated_sq(values, ok, truth, grid.cell_widths)))
 
             rmise_selected = [rmise_at(s.h_star, s.g_star) for s in selections]
             rmise_ref = rmise_at(h_mise, g_mise)
@@ -463,21 +426,6 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         return report
 
     # regions mode
-    h, g = config.bandwidth_h, config.bandwidth_g
-    if h is None:
-        mise_seed = child_seed(config.seed, 4)
-        if config.estimator == "beran":
-            h, _ = mise_optimal_1d(
-                model, box_h, grid,
-                n_samples=config.mise_samples, n=config.n,
-                n_candidates=config.mise_grid, seed=mise_seed,
-            )
-        else:
-            h, g, _ = mise_optimal_2d(
-                model, box_h, box_g, grid,
-                n_samples=config.mise_samples, n=config.n,
-                n_candidates=config.mise_grid, seed=mise_seed,
-            )
     if config.estimator == "smoothed-beran" and g is None:
         raise ValueError("regions with the smoothed estimator need bandwidth_g")
     task = partial(_region_task, config, model, grid, h, g)

@@ -16,14 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandwidth import (
-    default_covariate_box,
-    default_time_box,
-    pilot_r,
-    pilot_s,
-    select_bandwidth_1d,
-    select_bandwidth_2d,
-)
+from .bandwidth import _resampling_plan, _select, default_covariate_box, default_time_box
 from .benchmark import BenchConfig, make_model, run_benchmark, scaling_study, write_report
 from .dataio import DatasetSchema, filter_subpopulation, load_csv
 from .errors import (
@@ -37,8 +30,8 @@ from .errors import (
     SelectionFailedError,
 )
 from .estimators import beran_survival, kaplan_meier, smoothed_beran_survival
+from .kernels import DEFAULT_KERNEL
 from .regions import region_method1, region_method2, write_region_csv
-from .resampling import SCHEME_BERAN, SCHEME_SMOOTHED, ResamplingPlan
 from .samples import TimeGrid
 
 EXIT_OK = 0
@@ -176,13 +169,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config_overrides(args: argparse.Namespace) -> None:
+def _config_scalar(action: argparse.Action, value):
+    """A config value converted and checked the way the parser treats the flag's text."""
+    if isinstance(value, list) and action.type in (_float_list, _pair):
+        value = ",".join(str(v) for v in value)
+    if value is None or isinstance(value, (bool, list, dict)):
+        raise ValueError(f"config entry {action.dest!r} has an invalid value {value!r}")
+    try:
+        converted = action.type(str(value)) if action.type else str(value)
+    except ValueError as exc:
+        raise ValueError(f"config entry {action.dest!r}: {exc}") from None
+    if action.choices is not None and converted not in action.choices:
+        raise ValueError(f"config entry {action.dest!r} must be one of {list(action.choices)}")
+    return converted
+
+
+def _apply_config_overrides(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
     if not getattr(args, "config", None):
         return
     with open(args.config) as fh:
         overrides = json.load(fh)
+    if not isinstance(overrides, dict):
+        raise ValueError("a config file must hold a JSON object")
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {
+        a.dest: a
+        for a in commands.choices[args.command]._actions
+        if a.option_strings and a.dest not in ("help", "config")
+    }
     for key, value in overrides.items():
-        setattr(args, key.replace("-", "_"), value)
+        action = actions.get(key.replace("-", "_"))
+        if action is None:
+            raise ValueError(f"unknown config key {key!r} for {args.command}")
+        if action.nargs == 0:  # on/off flags such as --fresh-resamples
+            if not isinstance(value, bool):
+                raise ValueError(f"config entry {key!r} must be true or false")
+        elif isinstance(action, argparse._AppendAction):
+            value = [_config_scalar(action, v) for v in (value if isinstance(value, list) else [value])]
+        else:
+            value = _config_scalar(action, value)
+        setattr(args, action.dest, value)
 
 
 def _load_dataset(args):
@@ -271,25 +297,16 @@ def _cmd_select_bandwidth(args) -> int:
     dataset, filters = _load_dataset(args)
     sample = dataset.sample
     grid = _build_grid(args, sample)
-    r = pilot_r(sample, args.c)
-    box = args.box or default_covariate_box(sample)
+    plan = _resampling_plan(args.estimator, sample, args.c, args.seed, args.B)
+    boxes = (args.box or default_covariate_box(sample),)
+    if args.estimator == "smoothed-beran":
+        boxes += (args.box_g or default_time_box(sample),)
     for x0 in args.x0:
-        if args.estimator == "beran":
-            plan = ResamplingPlan(SCHEME_BERAN, r, args.seed, args.B)
-            selection = select_bandwidth_1d(
-                sample, x0, box, plan, grid,
-                strategy=args.strategy, grid_size=args.grid_size,
-                support=args.support, fresh_resamples=args.fresh_resamples,
-            )
-        else:
-            s = pilot_s(sample)
-            box_g = args.box_g or default_time_box(sample)
-            plan = ResamplingPlan(SCHEME_SMOOTHED, r, args.seed, args.B, pilot_s=s)
-            selection = select_bandwidth_2d(
-                sample, x0, box, box_g, plan, grid,
-                strategy=args.strategy, grid_size=args.grid_size,
-                support=args.support, fresh_resamples=args.fresh_resamples,
-            )
+        selection = _select(
+            sample, x0, boxes, plan, grid, DEFAULT_KERNEL, strategy=args.strategy,
+            grid_size=args.grid_size, support=args.support, resamples=None,
+            fresh_resamples=args.fresh_resamples,
+        )
         payload = {
             "command": "select-bandwidth",
             "estimator": args.estimator,
@@ -318,13 +335,9 @@ def _cmd_region(args) -> int:
     dataset, filters = _load_dataset(args)
     sample = dataset.sample
     grid = _build_grid(args, sample)
-    r = pilot_r(sample, args.c)
-    if args.estimator == "smoothed-beran":
-        if args.g is None:
-            raise ValueError("--g is required for the smoothed estimator")
-        plan = ResamplingPlan(SCHEME_SMOOTHED, r, args.seed, args.B, pilot_s=pilot_s(sample))
-    else:
-        plan = ResamplingPlan(SCHEME_BERAN, r, args.seed, args.B)
+    plan = _resampling_plan(args.estimator, sample, args.c, args.seed, args.B)
+    if args.estimator == "smoothed-beran" and args.g is None:
+        raise ValueError("--g is required for the smoothed estimator")
     build = region_method1 if args.method == 1 else region_method2
     run_meta = {"B": args.B, "n": sample.n, "filters": filters, "version": __version__}
     for x0 in args.x0:
@@ -384,8 +397,8 @@ _DISPATCH = {
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _apply_config_overrides(args)
     try:
+        _apply_config_overrides(parser, args)
         return _DISPATCH[args.command](args)
     except _NUMERICAL_ERRORS as exc:
         return _report_failure(args, exc, EXIT_NUMERICAL)

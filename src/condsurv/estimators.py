@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightsError
-from .kernels import DEFAULT_KERNEL, KernelSpec, kernel_fn, integrated_kernel_fn, reflect_covariates
+from .kernels import (
+    DEFAULT_KERNEL,
+    KernelSpec,
+    _mirrored,
+    integrated_kernel_fn,
+    kernel_fn,
+    reflect_covariates,
+)
 from .samples import SurvivalCurve, SurvivalSample, TimeGrid
 
 __all__ = ["BeranWeights", "beran_weights", "beran_survival", "kaplan_meier", "smoothed_beran_survival"]
@@ -37,39 +44,26 @@ class BeranWeights:
 
 
 def _sort_order(z: np.ndarray, events: np.ndarray) -> np.ndarray:
-    # ascending z; at ties, rows with events == 1 come first
+    # ascending z along the last axis; at ties, rows with events == 1 come first
     return np.lexsort((1.0 - events, z))
 
 
-def _augmented_covariates(sample: SurvivalSample, support):
-    """Covariates for kernel evaluation: the reflected triple when a support is declared."""
-    if support is None:
-        return sample.x, False
-    a, b = support
-    if not b > a:
-        raise ValueError("support must satisfy a < b")
-    x = sample.x
-    if np.any(x < a) or np.any(x > b):
-        raise ValueError("all covariates must lie inside the declared support")
-    return np.concatenate([x, 2.0 * a - x, 2.0 * b - x]), True
-
-
-def _folded_query_weights(x_kern: np.ndarray, folded: bool, queries: np.ndarray, h: float, kfn, order=None):
+def _query_weights(x_kern: np.ndarray, folded: bool, queries, h: float, kfn):
     """Normalized weights of each original point at each query covariate.
 
-    With reflection the three kernel values of a point and its mirror images
-    are summed first; the product-limit over the reflected sample telescopes
-    to the product-limit over the original points with these folded weights,
-    so downstream arrays stay length n.  When `order` is given the weights
-    are returned in that order and normalized after reordering, which keeps
-    results bit-identical under permutations of the input sample.  `ok`
-    marks queries with positive kernel mass.
+    `x_kern` holds one row of kernel covariates per weight row, or a single
+    row shared by all queries; `queries` broadcasts against it (a scalar, or
+    a column of query covariates).  With reflection (`folded`) each row is
+    the points followed by their two blocks of mirror images, and the three
+    kernel values of a point are summed first: the product-limit over the
+    reflected sample telescopes to the product-limit over the original points
+    with these folded weights, so downstream arrays stay length n.  Weights
+    are normalized in the column order of `x_kern`.  `ok` marks rows with
+    positive kernel mass.
     """
-    k = kfn((np.asarray(queries, dtype=float)[:, None] - x_kern[None, :]) / h)
+    k = kfn((queries - x_kern) / h)
     if folded:
         k = k.reshape(k.shape[0], 3, -1).sum(axis=1)
-    if order is not None:
-        k = k[:, order]
     tot = k.sum(axis=1, keepdims=True)
     ok = tot[:, 0] > 0.0
     w = k / np.where(tot > 0.0, tot, 1.0)
@@ -90,21 +84,110 @@ def _product_limit_rows(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.cumprod(factors, axis=1)
 
 
-def _grid_counts(z_sorted: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Number of sorted observations with Z <= t for each query time."""
-    return np.searchsorted(z_sorted, t, side="right")
-
-
-def _step_values(surv: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    padded = np.concatenate(([1.0], surv))
-    return padded[counts]
-
-
 def _jumps_from_survival(surv: np.ndarray) -> np.ndarray:
     jumps = np.empty_like(surv)
     jumps[..., 0] = 1.0 - surv[..., 0]
     jumps[..., 1:] = surv[..., :-1] - surv[..., 1:]
     return jumps
+
+
+class _CurveBatch:
+    """Kernel-weighted product-limit curves of a batch of samples on a time grid.
+
+    This is the one evaluation path from covariate weights through the
+    product-limit to grid values; a single curve is a batch of one.  Each
+    row's x, z and delta are sorted once here, so weights are normalized in
+    sorted order and results do not depend on the input order.  Everything
+    that does not depend on the bandwidths (grid step positions, distinct
+    jump locations) is precomputed.  Boundary reflection enters through
+    folded kernel weights, so all product-limit arrays keep the sample length.
+    """
+
+    def __init__(self, samples, points, kernel: KernelSpec = DEFAULT_KERNEL, support=None):
+        xs = np.stack([s.x for s in samples])
+        zs = np.stack([s.z for s in samples])
+        ds = np.stack([s.delta for s in samples])
+        orders = _sort_order(zs, ds)
+        self.B = xs.shape[0]
+        self.z = np.take_along_axis(zs, orders, axis=1)
+        self.d = np.take_along_axis(ds, orders, axis=1)
+        self._x_kern = _mirrored(np.take_along_axis(xs, orders, axis=1), support)
+        self._folded = support is not None
+        self.points = np.asarray(points, dtype=float)
+        self._kfn = kernel_fn(kernel)
+        self._ikfn = integrated_kernel_fn(kernel)
+        self._counts = np.stack([np.searchsorted(z, self.points, side="right") for z in self.z])
+        self._atoms = None
+        self._ik_cache: dict[float, np.ndarray] = {}
+
+    def values(self, x0: float, h: float, g: float | None = None):
+        """Curve values at x0, one row per sample, and the rows with kernel mass.
+
+        With g=None the rows are Beran step curves; otherwise their jumps are
+        smoothed in time at scale g.
+        """
+        w, ok = _query_weights(self._x_kern, self._folded, float(x0), h, self._kfn)
+        return self._grid_values(w, g), ok
+
+    def _grid_values(self, w: np.ndarray, g: float | None = None) -> np.ndarray:
+        """Curve values for covariate weights given in sorted order."""
+        surv = _product_limit_rows(w, self.d)
+        if g is None:
+            padded = np.concatenate([np.ones((self.B, 1)), surv], axis=1)
+            return np.take_along_axis(padded, self._counts, axis=1)
+        if self._atoms is None:
+            self._prepare_smooth()
+        jumps = _jumps_from_survival(surv)
+        agg = np.zeros_like(self._atoms)
+        for k in range(self.B):
+            if self._starts[k].size:
+                red = np.add.reduceat(jumps[k, self._event_idx[k]], self._starts[k])
+                agg[k, : red.size] = red
+        vals = 1.0 - np.einsum("ktu,ku->kt", self._ik_tensor(g), agg)
+        np.clip(vals, 0.0, 1.0, out=vals)
+        return vals
+
+    def _prepare_smooth(self):
+        # jump masses live only at uncensored positions, so the integrated
+        # kernel tensor is built over the distinct uncensored times per row
+        event_idx, starts, uniq = [], [], []
+        for z, d in zip(self.z, self.d):
+            idx = np.flatnonzero(d == 1.0)
+            z_ev = z[idx]
+            st = (
+                np.concatenate(([0], np.flatnonzero(np.diff(z_ev) > 0.0) + 1))
+                if idx.size
+                else np.empty(0, dtype=int)
+            )
+            event_idx.append(idx)
+            starts.append(st)
+            uniq.append(z_ev[st])
+        atoms = np.full((self.B, max(1, max(u.size for u in uniq))), np.inf)
+        for k, u in enumerate(uniq):
+            atoms[k, : u.size] = u
+        self._event_idx = event_idx
+        self._starts = starts
+        self._atoms = atoms
+
+    def _ik_tensor(self, g: float) -> np.ndarray:
+        key = float(g)
+        tensor = self._ik_cache.get(key)
+        if tensor is None:
+            if len(self._ik_cache) >= 4:
+                self._ik_cache.pop(next(iter(self._ik_cache)))
+            tensor = self._ikfn((self.points[None, :, None] - self._atoms[:, None, :]) / key)
+            self._ik_cache[key] = tensor
+        return tensor
+
+
+def _single_curve(sample, x0, h, points, kernel, support, g=None) -> np.ndarray:
+    """Values of one curve, evaluated as a batch of one."""
+    values, ok = _CurveBatch([sample], points, kernel, support).values(x0, h, g)
+    if not ok[0]:
+        raise DegenerateWeightsError(
+            f"all kernel weights vanish at x0={x0!r} with bandwidth h={h!r}"
+        )
+    return values[0]
 
 
 def _validate_bandwidth(value: float, name: str) -> float:
@@ -143,39 +226,6 @@ def beran_weights(
     return BeranWeights(w=k / tot, x0=float(x0), h=h)
 
 
-def _conditional_survival_values(
-    sample: SurvivalSample,
-    x0: float,
-    h: float,
-    points: np.ndarray,
-    kernel: KernelSpec,
-    support,
-    g: float | None = None,
-    uniform: bool = False,
-) -> np.ndarray:
-    """Shared evaluation path for Beran, smoothed Beran and Kaplan-Meier."""
-    order = _sort_order(sample.z, sample.delta)
-    z_s = sample.z[order]
-    d_s = sample.delta[order]
-    if uniform:
-        w = np.full((1, sample.n), 1.0 / sample.n)
-    else:
-        x_kern, folded = _augmented_covariates(sample, support)
-        w, ok = _folded_query_weights(
-            x_kern, folded, np.atleast_1d(float(x0)), h, kernel_fn(kernel), order=order
-        )
-        if not ok[0]:
-            raise DegenerateWeightsError(
-                f"all kernel weights vanish at x0={x0!r} with bandwidth h={h!r}"
-            )
-    surv = _product_limit_rows(w, d_s[None, :])[0]
-    if g is None:
-        return _step_values(surv, _grid_counts(z_s, points))
-    jumps = _jumps_from_survival(surv)
-    ik = integrated_kernel_fn(kernel)((points[:, None] - z_s[None, :]) / g)
-    return np.clip(1.0 - ik @ jumps, 0.0, 1.0)
-
-
 def beran_survival(
     sample: SurvivalSample,
     x0: float,
@@ -190,15 +240,14 @@ def beran_survival(
     contribute a factor of one.
     """
     h = _validate_bandwidth(h, "h")
-    values = _conditional_survival_values(sample, x0, h, grid.points, kernel, support)
+    values = _single_curve(sample, x0, h, grid.points, kernel, support)
     return SurvivalCurve(grid=grid, values=values, estimator_tag="beran", x0=float(x0), h=h)
 
 
 def kaplan_meier(sample: SurvivalSample, grid: TimeGrid) -> SurvivalCurve:
     """Product-limit estimate with uniform weights 1/n (no covariate)."""
-    values = _conditional_survival_values(
-        sample, 0.0, 1.0, grid.points, DEFAULT_KERNEL, None, uniform=True
-    )
+    batch = _CurveBatch([sample], grid.points)
+    values = batch._grid_values(np.full((1, sample.n), 1.0 / sample.n))[0]
     return SurvivalCurve(
         grid=grid, values=values, estimator_tag="kaplan-meier", x0=float("nan"), h=None
     )
@@ -220,7 +269,7 @@ def smoothed_beran_survival(
     """
     h = _validate_bandwidth(h, "h")
     g = _validate_bandwidth(g, "g")
-    values = _conditional_survival_values(sample, x0, h, grid.points, kernel, support, g=g)
+    values = _single_curve(sample, x0, h, grid.points, kernel, support, g)
     return SurvivalCurve(
         grid=grid, values=values, estimator_tag="smoothed-beran", x0=float(x0), h=h, g=g
     )

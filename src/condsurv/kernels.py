@@ -118,6 +118,21 @@ def fold_into_support(x, support: tuple[float, float]) -> np.ndarray:
     return a + np.minimum(y, 2.0 * length - y)
 
 
+def _mirrored(x, support) -> np.ndarray:
+    """Covariates followed by their mirror images 2a - x and 2b - x along the last axis.
+
+    Returns x unchanged when no support is declared.
+    """
+    if support is None:
+        return x
+    a, b = support
+    if not b > a:
+        raise ValueError("support must satisfy a < b")
+    if np.any(x < a) or np.any(x > b):
+        raise ValueError("all covariates must lie inside the declared support")
+    return np.concatenate([x, 2.0 * a - x, 2.0 * b - x], axis=-1)
+
+
 def reflect_covariates(sample: SurvivalSample, support: tuple[float, float]) -> SurvivalSample:
     """Augment a sample with covariate reflections across both support endpoints.
 
@@ -125,13 +140,5 @@ def reflect_covariates(sample: SurvivalSample, support: tuple[float, float]) -> 
     (Z, delta) duplicated.  Used inside covariate-weight computation to correct
     kernel boundary bias.
     """
-    a, b = support
-    if not b > a:
-        raise ValueError("support must satisfy a < b")
-    x = sample.x
-    if np.any(x < a) or np.any(x > b):
-        raise ValueError("all covariates must lie inside the declared support")
-    x_aug = np.concatenate([x, 2.0 * a - x, 2.0 * b - x])
-    z_aug = np.tile(sample.z, 3)
-    d_aug = np.tile(sample.delta, 3)
-    return SurvivalSample(x=x_aug, z=z_aug, delta=d_aug)
+    x_aug = _mirrored(sample.x, support)
+    return SurvivalSample(x=x_aug, z=np.tile(sample.z, 3), delta=np.tile(sample.delta, 3))

@@ -1,9 +1,10 @@
 """Bootstrap confidence regions for the conditional survival curve.
 
-Method 1 calibrates a variance-scaled envelope: the multiplier lambda* is the
-bisection solution of the Monte Carlo coverage equation, where a replicate
-counts as covered when the pilot curve stays inside its envelope at every
-grid point.  Method 2 is a norm ball: the radius rho* is an order statistic
+Method 1 calibrates a variance-scaled envelope: the multiplier lambda* solves
+the Monte Carlo coverage equation exactly as an order statistic of the
+replicate deviations max_t |pilot - curve| / sigma, where a replicate counts
+as covered when the pilot curve stays inside its envelope at every grid
+point.  Method 2 is a norm ball: the radius rho* is an order statistic
 of the replicate distances to the pilot curve, giving a constant-width band
 under the sup norm.
 """
@@ -17,9 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bandwidth import _CurveBatch, _pilot_values
+from .bandwidth import _pilot_values
 from .errors import DegenerateVarianceError, DegenerateWeightsError, InsufficientReplicatesError
-from .estimators import _conditional_survival_values
+from .estimators import _CurveBatch, _single_curve
 from .kernels import DEFAULT_KERNEL, KernelSpec
 from .resampling import SCHEME_BERAN, SCHEME_SMOOTHED, ResamplingPlan, resample
 from .samples import SurvivalCurve, SurvivalSample, TimeGrid, integrate_on_grid
@@ -96,48 +97,32 @@ def coverage_fraction(lam: float, pilot_values, curves, sigma_star) -> float:
     return float(inside.all(axis=1).mean())
 
 
-def calibrate_lambda(
-    pilot_values,
-    curves,
-    sigma_star,
-    alpha: float,
-    zeta: float = 1e-4,
-    max_iter: int = 60,
-) -> float:
-    """Bisection solution of the coverage equation p_hat(lambda) = 1 - alpha.
+def calibrate_lambda(pilot_values, curves, sigma_star, alpha: float) -> float:
+    """Exact order-statistic solution of the coverage equation p_hat(lambda) >= 1 - alpha.
 
-    The bracket starts at lambda_L = 0 and doubles lambda_H from 1 until the
-    coverage reaches 1 - alpha.  Bisection stops on an exact hit or when the
-    coverage gap across the bracket drops below `zeta`.
+    Replicate b is covered exactly when lambda >= m_b = max_t |pilot - curve_b| / sigma
+    (with 0/0 = 0 and d/0 = inf for d > 0), so the smallest solution is the
+    order statistic m_(k), k = min{k : k/B >= 1 - alpha}.  It is then raised
+    by the few ulps that the division can lose, until coverage_fraction
+    itself reaches the level.
     """
+    mat = _curve_matrix(curves)
+    pilot = np.asarray(pilot_values, dtype=float)
     sigma = np.asarray(sigma_star, dtype=float)
     if not np.any(sigma > 0.0):
         raise DegenerateVarianceError("bootstrap standard deviation is identically zero")
+    dev = np.abs(pilot[None, :] - mat)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(sigma > 0.0, dev / sigma, np.where(dev > 0.0, np.inf, 0.0))
+    m = np.sort(ratio.max(axis=1))
     target = 1.0 - alpha
-
-    def p_hat(lam: float) -> float:
-        return coverage_fraction(lam, pilot_values, curves, sigma)
-
-    lam_low, lam_high = 0.0, 1.0
-    doublings = 0
-    while p_hat(lam_high) < target:
-        lam_high *= 2.0
-        doublings += 1
-        if doublings > 60:
-            raise DegenerateVarianceError(
-                "coverage never reaches the target level; envelope cannot bracket"
-            )
-    lam_mid = 0.5 * (lam_low + lam_high)
-    for _ in range(max_iter):
-        lam_mid = 0.5 * (lam_low + lam_high)
-        p_mid = p_hat(lam_mid)
-        if abs(p_mid - target) < 1e-12 or p_hat(lam_high) - p_hat(lam_low) < zeta:
-            return lam_mid
-        if p_mid > target:
-            lam_high = lam_mid
-        else:
-            lam_low = lam_mid
-    return lam_mid
+    reaches = np.arange(1, m.size + 1) / m.size >= target
+    lam = float(m[np.argmax(reaches)])
+    if not np.isfinite(lam):
+        raise DegenerateVarianceError("coverage never reaches the target level")
+    while coverage_fraction(lam, pilot, mat, sigma) < target:
+        lam = float(np.nextafter(lam, np.inf))
+    return lam
 
 
 def clamp_and_plateau_fix(region: ConfidenceRegion) -> ConfidenceRegion:
@@ -164,28 +149,24 @@ def clamp_and_plateau_fix(region: ConfidenceRegion) -> ConfidenceRegion:
 
 
 def _region_inputs(sample, x0, h, g, plan, grid, kernel, estimator, support, resamples):
-    if estimator == "beran":
-        if plan.scheme != SCHEME_BERAN:
-            raise ValueError("beran regions require a beran-scheme plan")
-    elif estimator == "smoothed-beran":
-        if plan.scheme != SCHEME_SMOOTHED:
-            raise ValueError("smoothed-beran regions require a smoothed-beran-scheme plan")
-        if g is None:
-            raise ValueError("smoothed-beran regions require a time bandwidth g")
-    else:
+    """Pilot, bootstrap curves, centre and the time bandwidth used (None for beran)."""
+    scheme = {"beran": SCHEME_BERAN, "smoothed-beran": SCHEME_SMOOTHED}.get(estimator)
+    if scheme is None:
         raise ValueError(f"unknown estimator tag: {estimator!r}")
+    if plan.scheme != scheme:
+        raise ValueError(f"{estimator} regions require a {scheme}-scheme plan")
+    if scheme == SCHEME_BERAN:
+        g = None
+    elif g is None:
+        raise ValueError("smoothed-beran regions require a time bandwidth g")
     if resamples is None:
         resamples = resample(sample, plan, kernel, support)[0]
-    batch = _CurveBatch(resamples, grid.points, kernel, support)
-    if estimator == "beran":
-        curves, ok = batch.beran_values(x0, h)
-    else:
-        curves, ok = batch.smoothed_values(x0, h, g)
+    curves, ok = _CurveBatch(resamples, grid.points, kernel, support).values(x0, h, g)
     if not ok.all():
         raise DegenerateWeightsError("a bootstrap curve degenerated at the requested bandwidth")
     pilot = _pilot_values(sample, x0, plan, grid.points, kernel, support)
-    center = _conditional_survival_values(sample, x0, h, grid.points, kernel, support, g=g)
-    return pilot, curves, center
+    center = _single_curve(sample, x0, h, grid.points, kernel, support, g)
+    return pilot, curves, center, g
 
 
 def region_method1(
@@ -200,14 +181,13 @@ def region_method1(
     estimator: str = "beran",
     support: tuple[float, float] | None = None,
     resamples=None,
-    zeta: float = 1e-4,
 ) -> ConfidenceRegion:
-    """Variance-scaled envelope: estimate +- lambda* sigma*(t|x0), calibrated by bisection."""
-    pilot, curves, center = _region_inputs(
+    """Variance-scaled envelope: estimate +- lambda* sigma*(t|x0), lambda* an exact order statistic."""
+    pilot, curves, center, g = _region_inputs(
         sample, x0, h, g, plan, grid, kernel, estimator, support, resamples
     )
     sigma = bootstrap_sigma(curves)
-    lam = calibrate_lambda(pilot, curves, sigma, alpha, zeta)
+    lam = calibrate_lambda(pilot, curves, sigma, alpha)
     region = ConfidenceRegion(
         grid=grid,
         lower=center - lam * sigma,
@@ -270,7 +250,7 @@ def region_method2(
     """Sup-norm ball region: estimate +- rho*, constant width before clamping."""
     if norm != "sup":
         raise ValueError("only the sup norm has an envelope representation")
-    pilot, curves, center = _region_inputs(
+    pilot, curves, center, g = _region_inputs(
         sample, x0, h, g, plan, grid, kernel, estimator, support, resamples
     )
     rho = method2_radius(pilot, curves, grid, alpha, p="sup")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightsError
-from .estimators import _augmented_covariates, _folded_query_weights, _product_limit_rows, _sort_order
-from .kernels import DEFAULT_KERNEL, KernelSpec, fold_into_support, kernel_fn, kernel_rvs
+from .estimators import _product_limit_rows, _query_weights, _sort_order
+from .kernels import DEFAULT_KERNEL, KernelSpec, _mirrored, fold_into_support, kernel_fn, kernel_rvs
 from .samples import SurvivalSample
 
 __all__ = [
@@ -141,9 +141,9 @@ def _law_tables(sample, bandwidth, queries, kernel, support, censoring):
     """(atoms, cum, ok): conditional cdf of T (or C) at each query covariate."""
     events = 1.0 - sample.delta if censoring else sample.delta
     order = _sort_order(sample.z, events)
-    x_kern, folded = _augmented_covariates(sample, support)
-    w, ok = _folded_query_weights(
-        x_kern, folded, np.asarray(queries, dtype=float), bandwidth, kernel_fn(kernel), order=order
+    x_kern = _mirrored(sample.x[order], support)
+    w, ok = _query_weights(
+        x_kern, support is not None, np.asarray(queries, dtype=float)[:, None], bandwidth, kernel_fn(kernel)
     )
     cum = 1.0 - _product_limit_rows(w, events[order])
     return sample.z[order], cum, ok
@@ -228,7 +228,7 @@ def resample(
     # smoothed-beran: per-replicate laws at freshly smoothed covariates.
     # The lifetime and censoring laws share one kernel-weight matrix; only the
     # tie-breaking sort order and the event indicator differ between them.
-    x_kern, folded = _augmented_covariates(sample, support)
+    x_kern, folded = _mirrored(sample.x, support), support is not None
     events_c = 1.0 - sample.delta
     order_t = _sort_order(sample.z, sample.delta)
     order_c = _sort_order(sample.z, events_c)
@@ -247,13 +247,13 @@ def resample(
         u_c = rng.random(n)
         eps_c = kernel_rvs(kernel, rng, n)
 
-        w, ok = _folded_query_weights(x_kern, folded, x_star, plan.pilot_r, kfn)
+        w, ok = _query_weights(x_kern, folded, x_star[:, None], plan.pilot_r, kfn)
         if not ok.all():
             bad = np.flatnonzero(~ok)
             diag.retried_draws += bad.size
             nearest = np.abs(sample.x[None, :] - x_star[bad, None]).argmin(axis=1)
             x_star[bad] = sample.x[nearest]
-            w[bad], _ = _folded_query_weights(x_kern, folded, x_star[bad], plan.pilot_r, kfn)
+            w[bad], _ = _query_weights(x_kern, folded, x_star[bad, None], plan.pilot_r, kfn)
 
         cum_rows_t = 1.0 - _product_limit_rows(w[:, order_t], d_t)
         cum_rows_c = 1.0 - _product_limit_rows(w[:, order_c], d_c)

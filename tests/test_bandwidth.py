@@ -19,7 +19,7 @@ from condsurv import (
     select_bandwidth_2d,
 )
 from condsurv import PilotBandwidths
-from condsurv.bandwidth import _minimize_1d, _minimize_2d
+from condsurv.bandwidth import _minimize
 from condsurv.errors import NoEventsError, SelectionFailedError
 
 from conftest import eval_steps, pure_product_limit, random_sample
@@ -205,16 +205,16 @@ class TestRiemannRule:
 class TestMinimizers:
     def test_grid_parabola_middle_point(self):
         trace = []
-        best = _minimize_1d(lambda h: (h - 0.5) ** 2, (0.0001, 1.0), "grid", 3, trace)
+        best, _ = _minimize(lambda h: (h - 0.5) ** 2, ((0.0001, 1.0),), "grid", 3, trace)
         assert best == pytest.approx(0.50005, abs=1e-12)
         assert len(trace) == 3
 
     def test_separable_quadratic_2d(self):
         a, b = 0.4, 0.7
         trace = []
-        h, g = _minimize_2d(
+        h, g, _ = _minimize(
             lambda x, y: (x - a) ** 2 + (y - b) ** 2,
-            (0.1, 1.0), (0.1, 1.0), "grid", 4, trace,
+            ((0.1, 1.0), (0.1, 1.0)), "grid", 4, trace,
         )
         assert h == pytest.approx(0.4, abs=1e-12)
         assert g == pytest.approx(0.7, abs=1e-12)
@@ -222,12 +222,12 @@ class TestMinimizers:
 
     def test_multistart_on_smooth_objective(self):
         trace = []
-        best = _minimize_1d(lambda h: (h - 0.37) ** 2, (0.01, 2.0), "multistart", 0, trace)
+        best, _ = _minimize(lambda h: (h - 0.37) ** 2, ((0.01, 2.0),), "multistart", 0, trace)
         assert best == pytest.approx(0.37, abs=1e-4)
 
     def test_all_infinite_raises(self):
         with pytest.raises(SelectionFailedError):
-            _minimize_1d(lambda h: float("inf"), (0.01, 1.0), "grid", 4, [])
+            _minimize(lambda h: float("inf"), ((0.01, 1.0),), "grid", 4, [])
 
 
 class TestSelection:

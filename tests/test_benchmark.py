@@ -11,6 +11,7 @@ from condsurv import (
     make_model,
     mc_mise,
     mise_optimal_1d,
+    mise_optimal_2d,
     region_metrics,
     relative_metrics,
     run_benchmark,
@@ -19,6 +20,7 @@ from condsurv import (
     write_report,
 )
 from condsurv.benchmark import report_to_dict
+from condsurv.errors import SelectionFailedError
 from condsurv.regions import ConfidenceRegion
 
 
@@ -57,6 +59,16 @@ class TestMiseOptimal:
         )
         assert 0.05 < h < 1.5
         assert 0.0 < rmise < 1.0
+
+    def test_no_finite_mise_is_selection_failure(self):
+        # at h ~ 1e-7 every kernel weight at x0 underflows, so no MISE is finite
+        model = make_model("model1", 0.2)
+        grid = TimeGrid.uniform(model.t_max, 20)
+        kw = dict(n_samples=3, n=20, n_candidates=3, seed=3)
+        with pytest.raises(SelectionFailedError):
+            mise_optimal_1d(model, (1e-7, 2e-7), grid, **kw)
+        with pytest.raises(SelectionFailedError):
+            mise_optimal_2d(model, (1e-7, 2e-7), (0.05, 0.1), grid, **kw)
 
 
 class FakeSelection:

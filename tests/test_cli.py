@@ -111,6 +111,60 @@ class TestErrors:
         assert code == 3
 
 
+    def test_no_finite_mise_exits_3(self, tmp_path, monkeypatch):
+        import functools
+
+        import condsurv.cli as cli
+
+        # a covariate search box so narrow that every kernel weight underflows
+        monkeypatch.setattr(cli, "BenchConfig", functools.partial(cli.BenchConfig, box_h=(1e-7, 2e-7)))
+        err_path = tmp_path / "err.json"
+        code = main([
+            "simulate", "--n", "20", "--n-samples", "1", "--B", "2", "--n-grid", "8",
+            "--seed", "3", "--mise-samples", "3", "--mise-grid", "3",
+            "--out", str(tmp_path / "sim"), "--error-json", str(err_path),
+        ])
+        assert code == 3
+        assert json.loads(err_path.read_text())["error"] == "SelectionFailedError"
+
+
+class TestConfigFile:
+    def run_fit(self, tmp_path, entries):
+        data = write_data(tmp_path)
+        config = tmp_path / "run.json"
+        config.write_text(json.dumps(entries))
+        err_path = tmp_path / "err.json"
+        code = main([
+            "fit", "--data", data, "--estimator", "beran", "--x0", "0.5", "--h", "1.0", "--n-grid", "4",
+            "--t-max", "4.0", "--out", str(tmp_path / "fit"), "--config", str(config),
+            "--error-json", str(err_path),
+        ])
+        return code, (json.loads(err_path.read_text()) if err_path.exists() else None)
+
+    def test_entries_use_the_flag_types(self, tmp_path):
+        code, record = self.run_fit(tmp_path, {"x0": 0.25, "support": [0, 1], "n-grid": 3})
+        assert code == 0 and record is None
+        assert len(read_curve(tmp_path / "fit_x0p25.csv")) == 3
+        assert not (tmp_path / "fit_x0p5.csv").exists()
+
+    @pytest.mark.parametrize("entries", [
+        {"hh": 3},
+        {"x0": "abc"},
+        {"n_grid": 2.5},
+        {"estimator": "cox"},
+        {"h": [1.0]},
+        {"support": True},
+    ])
+    def test_bad_entries_exit_2_with_error_json(self, tmp_path, entries):
+        code, record = self.run_fit(tmp_path, entries)
+        assert code == 2
+        assert record["exit_code"] == 2 and record["error"] == "ValueError"
+
+    def test_non_object_config_exit_2(self, tmp_path):
+        code, record = self.run_fit(tmp_path, [1, 2])
+        assert code == 2 and record["exit_code"] == 2
+
+
 class TestSelectBandwidth:
     def test_smoke_and_trace_length(self, tmp_path):
         import time

@@ -216,3 +216,25 @@ def test_folded_reflection_equals_explicit_reflection():
         c = smoothed_beran_survival(s, x0, 0.15, 0.1, grid, support=(0.0, 1.0)).values
         d = smoothed_beran_survival(reflected, x0, 0.15, 0.1, grid).values
         assert_allclose(c, d, atol=5e-15)
+
+
+@pytest.mark.parametrize("censoring", [0.2, 0.5])
+@pytest.mark.parametrize("support", [None, (0.0, 1.0)])
+def test_single_curve_is_a_batch_of_one(censoring, support):
+    from condsurv.estimators import _CurveBatch
+    from condsurv.simulation import generate_sample, make_model
+
+    model = make_model("model1", censoring)
+    grid = TimeGrid.uniform(model.t_max, 40)
+    rng = np.random.default_rng(17)
+    for _ in range(60):
+        s = generate_sample(model, int(rng.integers(20, 120)), rng)
+        x0, h, g = float(rng.random()), 0.05 + 0.5 * rng.random(), 0.02 + 0.3 * rng.random()
+        batch = _CurveBatch([s], grid.points, support=support)
+        step, ok = batch.values(x0, h)
+        smooth, _ = batch.values(x0, h, g)
+        assert ok[0]
+        np.testing.assert_array_equal(beran_survival(s, x0, h, grid, support=support).values, step[0])
+        np.testing.assert_array_equal(
+            smoothed_beran_survival(s, x0, h, g, grid, support=support).values, smooth[0]
+        )

@@ -108,6 +108,18 @@ class TestCalibrateLambda:
         assert coverage_fraction(lam, pilot, curves, sigma) >= 0.8 - 1e-4
         assert 0.4 <= lam <= 0.5
 
+    def test_exact_order_statistic_without_slack(self):
+        # B(1 - alpha) = 465.5 is not an integer: lambda* must cover 466 of 490
+        rng = np.random.default_rng(3)
+        curves = rng.standard_normal((490, 10))
+        pilot = np.zeros(10)
+        sigma = bootstrap_sigma(curves)
+        lam = calibrate_lambda(pilot, curves, sigma, 0.05)
+        m = np.sort(np.max(np.abs(pilot[None, :] - curves) / sigma[None, :], axis=1))
+        assert coverage_fraction(lam, pilot, curves, sigma) >= 0.95
+        assert coverage_fraction(np.nextafter(lam, -np.inf), pilot, curves, sigma) < 0.95
+        assert m[465] <= lam < m[466]
+
     def test_degenerate_sigma(self):
         with pytest.raises(DegenerateVarianceError):
             calibrate_lambda(np.zeros(3), np.zeros((4, 3)), np.zeros(3), 0.05)
