@@ -2,12 +2,11 @@
 """Compare the CLI outputs of two condsurv source trees on the benchmark's commands.
 
     python3 scripts/compare_outputs.py SRC_A SRC_B --seeds 1,2,3
-    python3 scripts/compare_outputs.py SRC_A SRC_B --seeds 1 --workloads beran-large --scale smoke
 
 SRC_A and SRC_B are checkouts, each holding ``src/condsurv``.  For every seed
 and workload of ``perfbench/workloads.py`` the input CSV files are generated
-once, with SRC_A's sources, and the workload's commands (full scale unless
-``--scale smoke``) run once against each tree.  Every output file is then
+once, with SRC_A's sources, and the workload's full-scale commands run once
+against each tree.  Every output file is then
 compared: the script prints whether its bytes are equal and, when they are
 not, the largest |difference| over its numbers (CSV cells and JSON numbers)
 with the place where it occurs, every top-level JSON number that moved, and
@@ -118,8 +117,6 @@ def main(argv=None) -> int:
     parser.add_argument("src_a", type=Path)
     parser.add_argument("src_b", type=Path)
     parser.add_argument("--seeds", default="1,2,3", help="benchmark seeds, comma separated")
-    parser.add_argument("--workloads", default=None, help="workload names (default: all)")
-    parser.add_argument("--scale", choices=["full", "smoke"], default="full")
     args = parser.parse_args(argv)
     trees = [args.src_a.resolve(), args.src_b.resolve()]
     for tree in trees:
@@ -128,17 +125,16 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "perfbench"), str(trees[0] / "src")]
     import workloads
 
-    names = args.workloads.split(",") if args.workloads else list(workloads.PARAMS)
     status = 0
     with tempfile.TemporaryDirectory() as tmp:
         for seed in (int(s) for s in args.seeds.split(",")):
-            for name in names:
+            for name in workloads.PARAMS:
                 base = Path(tmp) / f"{name}-{seed}"
                 dirs = [base / "a", base / "b"]
                 for d in dirs:
                     d.mkdir(parents=True)
-                csvs = workloads.make_inputs(name, args.scale, seed, base)
-                cmds = workloads.commands(name, args.scale, seed, csvs)
+                csvs = workloads.make_inputs(name, "full", seed, base)
+                cmds = workloads.commands(name, "full", seed, csvs)
                 failures = [f for tree, d in zip(trees, dirs) for f in run_commands(tree, cmds, d)]
                 for failure in failures:
                     print(f"seed {seed} {name}: FAILED {failure}")

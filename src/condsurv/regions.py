@@ -97,6 +97,11 @@ def coverage_fraction(lam: float, pilot_values, curves, sigma_star) -> float:
     return float(inside.all(axis=1).mean())
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
+
+
 def calibrate_lambda(pilot_values, curves, sigma_star, alpha: float) -> float:
     """Exact order-statistic solution of the coverage equation p_hat(lambda) >= 1 - alpha.
 
@@ -106,6 +111,7 @@ def calibrate_lambda(pilot_values, curves, sigma_star, alpha: float) -> float:
     by the few ulps that the division can lose, until coverage_fraction
     itself reaches the level.
     """
+    _check_alpha(alpha)
     mat = _curve_matrix(curves)
     pilot = np.asarray(pilot_values, dtype=float)
     sigma = np.asarray(sigma_star, dtype=float)
@@ -227,6 +233,7 @@ def method2_radius(pilot_values, curves, grid: TimeGrid, alpha: float, p="sup") 
     For p in {1, 2} the radius defines a membership test only; the sup norm
     additionally yields the plottable constant-width envelope.
     """
+    _check_alpha(alpha)
     mat = _curve_matrix(curves)
     dists = np.array([lp_distance(row, pilot_values, grid, p) for row in mat])
     dists.sort()

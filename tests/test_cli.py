@@ -230,6 +230,22 @@ class TestRegionCommand:
         assert (tmp_path / "a_x0p4.csv").read_bytes() == (tmp_path / "b_x0p4.csv").read_bytes()
         assert (tmp_path / "a_x0p4.json").read_bytes() == (tmp_path / "b_x0p4.json").read_bytes()
 
+    @pytest.mark.parametrize("method", ["1", "2"])
+    def test_alpha_outside_unit_interval_exit_2(self, tmp_path, method):
+        rng = np.random.default_rng(2)
+        rows = ["x,z,delta"]
+        for _ in range(30):
+            t, c = rng.exponential(), rng.exponential(2.0)
+            rows.append(f"{rng.random()},{min(t, c)},{int(t <= c)}")
+        data = write_data(tmp_path, "\n".join(rows) + "\n", name="alpha.csv")
+        code = main([
+            "region", "--data", data, "--method", method, "--x0", "0.4", "--h", "0.3",
+            "--B", "15", "--seed", "9", "--n-grid", "10", "--alpha", "-0.1",
+            "--out", str(tmp_path / "reg"), "--error-json", str(tmp_path / "err.json"),
+        ])
+        assert code == 2
+        assert "alpha" in json.loads((tmp_path / "err.json").read_text())["message"]
+
 
 class TestSimulateCommand:
     def test_bandwidth_mode_smoke(self, tmp_path):

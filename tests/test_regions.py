@@ -132,6 +132,13 @@ class TestCalibrateLambda:
         with pytest.raises(DegenerateVarianceError):
             calibrate_lambda(pilot, curves, sigma, 0.05)
 
+    @pytest.mark.parametrize("alpha", [-0.1, -1e-15, 0.0, 1.0, 1.5, float("nan")])
+    def test_alpha_outside_unit_interval(self, alpha):
+        rng = np.random.default_rng(5)
+        pilot, curves = rng.random(6), rng.random((10, 6))
+        with pytest.raises(ValueError, match="alpha"):
+            calibrate_lambda(pilot, curves, bootstrap_sigma(curves), alpha)
+
 
 def _raw_region(lower, upper, level=0.95):
     n = len(lower)
@@ -202,6 +209,12 @@ class TestMethod2Radius:
         radii = [method2_radius(pilot, curves, grid, a) for a in (0.01, 0.05, 0.2, 0.5)]
         assert np.all(np.diff(radii) <= 1e-15)
 
+    @pytest.mark.parametrize("alpha", [-0.1, 0.0, 1.0])
+    def test_alpha_outside_unit_interval(self, alpha):
+        grid = TimeGrid([1.0, 2.0])
+        with pytest.raises(ValueError, match="alpha"):
+            method2_radius(np.zeros(2), np.ones((4, 2)), grid, alpha)
+
     def test_lp_distances(self):
         grid = TimeGrid([1.0, 2.0])
         a, b = np.array([1.0, 1.0]), np.array([0.0, 0.5])
@@ -271,6 +284,16 @@ class TestRegionBuilders:
                 self.sample, 0.6, 0.3, plan, self.grid,
                 estimator="smoothed-beran", support=self.model.support,
             )
+
+    @pytest.mark.parametrize("builder", [region_method1, region_method2])
+    def test_beran_region_ignores_time_bandwidth(self, builder):
+        kwargs = dict(support=self.model.support, resamples=self.resamples)
+        plain = builder(self.sample, 0.6, 0.3, self.plan, self.grid, **kwargs)
+        given_g = builder(self.sample, 0.6, 0.3, self.plan, self.grid, g=0.1, **kwargs)
+        assert given_g.g is None
+        assert given_g.calibration == plain.calibration
+        for field in ("estimate", "lower", "upper"):
+            assert np.array_equal(getattr(given_g, field), getattr(plain, field))
 
     def test_scheme_estimator_mismatch(self):
         with pytest.raises(ValueError):
