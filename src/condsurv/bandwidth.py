@@ -13,7 +13,6 @@ import itertools
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NoEventsError, SelectionFailedError
 from .estimators import _CurveBatch, _single_curve
@@ -212,11 +211,16 @@ def bootstrap_mse_pointwise(
     return _mean_integrated_sq(values, ok, pilot, np.ones(1))
 
 
-def _validate_box(box, name):
-    lo, hi = float(box[0]), float(box[1])
-    if not (0.0 < lo < hi):
-        raise ValueError(f"{name} must satisfy 0 < low < high")
-    return lo, hi
+def _validate_boxes(boxes) -> tuple:
+    """The search intervals as (low, high) floats, checked to satisfy 0 < low < high."""
+    labels = ("search box",) if len(boxes) == 1 else ("covariate search box", "time search box")
+    checked = []
+    for box, name in zip(boxes, labels):
+        lo, hi = float(box[0]), float(box[1])
+        if not (0.0 < lo < hi):
+            raise ValueError(f"{name} must satisfy 0 < low < high")
+        checked.append((lo, hi))
+    return tuple(checked)
 
 
 def _best_traced(trace) -> tuple:
@@ -247,6 +251,8 @@ def _minimize(objective, boxes, strategy, grid_size, trace) -> tuple:
         for outer_first in itertools.product(*axes):
             evaluate(outer_first[::-1])
     elif strategy == "multistart":
+        from scipy.optimize import minimize  # imported here: only this strategy needs it
+
         lo, hi = np.array(boxes, dtype=float).T
         eps = np.maximum(1e-4 * (hi - lo), 1e-10)
 
@@ -271,8 +277,7 @@ def _select(sample, x0, boxes, plan, grid, kernel, strategy, grid_size, support,
             fresh_resamples) -> BandwidthSelection:
     """Bootstrap MISE minimization over h alone (one box) or over (h, g) (two boxes)."""
     _check_scheme(plan, len(boxes), f"select_bandwidth_{len(boxes)}d")
-    labels = ("search box",) if len(boxes) == 1 else ("covariate search box", "time search box")
-    boxes = tuple(_validate_box(box, label) for box, label in zip(boxes, labels))
+    boxes = _validate_boxes(boxes)
     pilot = _pilot_values(sample, x0, plan, grid.points, kernel, support)
     widths = grid.cell_widths
 

@@ -11,12 +11,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bandwidth import _resampling_plan, _select, default_covariate_box, default_time_box
+from .bandwidth import (
+    _resampling_plan,
+    _select,
+    _validate_boxes,
+    default_covariate_box,
+    default_time_box,
+)
 from .benchmark import BenchConfig, make_model, run_benchmark, scaling_study, write_report
 from .dataio import DatasetSchema, filter_subpopulation, load_csv
 from .errors import (
@@ -31,7 +38,8 @@ from .errors import (
 )
 from .estimators import beran_survival, kaplan_meier, smoothed_beran_survival
 from .kernels import DEFAULT_KERNEL
-from .regions import region_method1, region_method2, write_region_csv
+from .regions import _check_alpha, region_method1, region_method2, write_region_csv
+from .resampling import resample
 from .samples import TimeGrid
 
 EXIT_OK = 0
@@ -293,6 +301,12 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
+def _shared_resamples(sample, plan, support):
+    """One resample set for every x0 of a command, and its counters for the sidecars."""
+    resamples, diagnostics = resample(sample, plan, DEFAULT_KERNEL, support)
+    return resamples, asdict(diagnostics)
+
+
 def _cmd_select_bandwidth(args) -> int:
     dataset, filters = _load_dataset(args)
     sample = dataset.sample
@@ -301,10 +315,15 @@ def _cmd_select_bandwidth(args) -> int:
     boxes = (args.box or default_covariate_box(sample),)
     if args.estimator == "smoothed-beran":
         boxes += (args.box_g or default_time_box(sample),)
+    boxes = _validate_boxes(boxes)
+    # with --fresh-resamples every candidate draws its own set, so none is shared
+    resamples, counters = (
+        (None, None) if args.fresh_resamples else _shared_resamples(sample, plan, args.support)
+    )
     for x0 in args.x0:
         selection = _select(
             sample, x0, boxes, plan, grid, DEFAULT_KERNEL, strategy=args.strategy,
-            grid_size=args.grid_size, support=args.support, resamples=None,
+            grid_size=args.grid_size, support=args.support, resamples=resamples,
             fresh_resamples=args.fresh_resamples,
         )
         payload = {
@@ -325,6 +344,7 @@ def _cmd_select_bandwidth(args) -> int:
             "t_max": grid.t_max,
             "strategy": args.strategy,
             "filters": filters,
+            "resampling": counters,
             "version": __version__,
         }
         _write_json(f"{args.out}_x{_x0_tag(x0)}.json", payload)
@@ -338,12 +358,17 @@ def _cmd_region(args) -> int:
     plan = _resampling_plan(args.estimator, sample, args.c, args.seed, args.B)
     if args.estimator == "smoothed-beran" and args.g is None:
         raise ValueError("--g is required for the smoothed estimator")
+    _check_alpha(args.alpha)
+    resamples, counters = _shared_resamples(sample, plan, args.support)
     build = region_method1 if args.method == 1 else region_method2
-    run_meta = {"B": args.B, "n": sample.n, "filters": filters, "version": __version__}
+    run_meta = {
+        "B": args.B, "n": sample.n, "filters": filters, "resampling": counters,
+        "version": __version__,
+    }
     for x0 in args.x0:
         region = build(
-            sample, x0, args.h, plan, grid,
-            alpha=args.alpha, g=args.g, estimator=args.estimator, support=args.support,
+            sample, x0, args.h, plan, grid, alpha=args.alpha, g=args.g,
+            estimator=args.estimator, support=args.support, resamples=resamples,
         )
         stem = f"{args.out}_x{_x0_tag(x0)}"
         write_region_csv(region, f"{stem}.csv", f"{stem}.json", extra=run_meta)

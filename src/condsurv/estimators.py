@@ -61,27 +61,44 @@ def _query_weights(x_kern: np.ndarray, folded: bool, queries, h: float, kfn):
     are normalized in the column order of `x_kern`.  `ok` marks rows with
     positive kernel mass.
     """
-    k = kfn((queries - x_kern) / h)
+    u = np.subtract(queries, x_kern)
+    u /= h
+    k = kfn(u, out=u)
     if folded:
         k = k.reshape(k.shape[0], 3, -1).sum(axis=1)
     tot = k.sum(axis=1, keepdims=True)
     ok = tot[:, 0] > 0.0
-    w = k / np.where(tot > 0.0, tot, 1.0)
-    return w, ok
+    k /= np.where(tot > 0.0, tot, 1.0)
+    return k, ok
 
 
 def _product_limit_rows(w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """Survival values after each sorted observation, one row per sample."""
-    cum = np.cumsum(w, axis=1)
-    at_risk = 1.0 - (cum - w)
-    event = w * d
+    """Survival values after each sorted observation, one row per sample.
+
+    Each step writes into one of two buffers owned here (`w` is not
+    modified), so no array of the full size is allocated per operation.
+    """
+    at_risk = np.cumsum(w, axis=1)
+    at_risk -= w
+    np.subtract(1.0, at_risk, out=at_risk)
+    factors = np.multiply(w, d)  # the event mass, until it becomes the factor
     # clamping the denominator avoids subnormal divisions; with the clip it
     # yields factor 0 whenever the at-risk mass is negligible but the event
     # mass is not, and the explicit fix restores factor 1 when both vanish
-    factors = 1.0 - event / np.maximum(at_risk, _AT_RISK_EPS)
+    vanish = at_risk <= _AT_RISK_EPS
+    vanish &= factors <= _AT_RISK_EPS
+    np.maximum(at_risk, _AT_RISK_EPS, out=at_risk)
+    factors /= at_risk
+    np.subtract(1.0, factors, out=factors)
     np.clip(factors, 0.0, 1.0, out=factors)
-    factors[(at_risk <= _AT_RISK_EPS) & (event <= _AT_RISK_EPS)] = 1.0
-    return np.cumprod(factors, axis=1)
+    factors[vanish] = 1.0
+    return np.cumprod(factors, axis=1, out=factors)
+
+
+def _cdf_rows(w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """One minus the product-limit rows: the step cdf after each sorted observation."""
+    surv = _product_limit_rows(w, d)
+    return np.subtract(1.0, surv, out=surv)
 
 
 def _jumps_from_survival(surv: np.ndarray) -> np.ndarray:

@@ -85,11 +85,37 @@ def _is_effectively_untruncated(spec: KernelSpec) -> bool:
     return spec.mass == 1.0 and ndtr(low) == 0.0 and ndtr(high) == 1.0
 
 
+def _gaussian_density(u, out=None):
+    # exp(-u^2/2)/sqrt(2 pi) evaluated in one buffer; `out` may be u itself
+    if out is None:
+        out = np.empty(np.shape(u))
+    np.square(u, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    return out if out.ndim else out[()]
+
+
+def _truncated_density(spec: KernelSpec):
+    def density(u, out=None):
+        dens = eval_kernel(spec, np.asarray(u, dtype=float))
+        if out is None:
+            return dens
+        out[...] = dens
+        return out
+
+    return density
+
+
 def kernel_fn(spec: KernelSpec):
-    """Vectorized density closure; plain Gaussian when truncation is numerically inert."""
+    """Vectorized density closure ``f(u, out=None)``; plain Gaussian when truncation is inert.
+
+    The result is written into `out` when one is given (it may be `u`
+    itself); otherwise `u` is left untouched.
+    """
     if _is_effectively_untruncated(spec):
-        return lambda u: np.exp(-0.5 * np.square(u)) * _INV_SQRT_2PI
-    return lambda u: eval_kernel(spec, np.asarray(u, dtype=float))
+        return _gaussian_density
+    return _truncated_density(spec)
 
 
 def integrated_kernel_fn(spec: KernelSpec):

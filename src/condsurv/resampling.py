@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightsError
-from .estimators import _product_limit_rows, _query_weights, _sort_order
+from .estimators import _cdf_rows, _query_weights, _sort_order
 from .kernels import DEFAULT_KERNEL, KernelSpec, _mirrored, fold_into_support, kernel_fn, kernel_rvs
 from .samples import SurvivalSample
 
@@ -145,8 +145,7 @@ def _law_tables(sample, bandwidth, queries, kernel, support, censoring):
     w, ok = _query_weights(
         x_kern, support is not None, np.asarray(queries, dtype=float)[:, None], bandwidth, kernel_fn(kernel)
     )
-    cum = 1.0 - _product_limit_rows(w, events[order])
-    return sample.z[order], cum, ok
+    return sample.z[order], _cdf_rows(w, events[order]), ok
 
 
 def conditional_step_law(
@@ -227,11 +226,13 @@ def resample(
 
     # smoothed-beran: per-replicate laws at freshly smoothed covariates.
     # The lifetime and censoring laws share one kernel-weight matrix; only the
-    # tie-breaking sort order and the event indicator differ between them.
+    # tie-breaking sort order and the event indicator differ between them,
+    # and the orders coincide unless an event and a censoring share a time.
     x_kern, folded = _mirrored(sample.x, support), support is not None
     events_c = 1.0 - sample.delta
     order_t = _sort_order(sample.z, sample.delta)
     order_c = _sort_order(sample.z, events_c)
+    same_order = np.array_equal(order_t, order_c)
     z_t, d_t = sample.z[order_t], sample.delta[order_t]
     z_c, d_c = sample.z[order_c], events_c[order_c]
     s = float(plan.pilot_s)
@@ -255,8 +256,10 @@ def resample(
             x_star[bad] = sample.x[nearest]
             w[bad], _ = _query_weights(x_kern, folded, x_star[bad, None], plan.pilot_r, kfn)
 
-        cum_rows_t = 1.0 - _product_limit_rows(w[:, order_t], d_t)
-        cum_rows_c = 1.0 - _product_limit_rows(w[:, order_c], d_c)
+        w_t = w[:, order_t]
+        w_c = w_t if same_order else w[:, order_c]
+        cum_rows_t = _cdf_rows(w_t, d_t)
+        cum_rows_c = _cdf_rows(w_c, d_c)
         t_step, sat_t = _rows_inverse(cum_rows_t, z_t, u_t, max_time)
         c_step, sat_c = _rows_inverse(cum_rows_c, z_c, u_c, max_time)
         diag.saturated_time_draws += int(sat_t.sum())

@@ -46,3 +46,23 @@ def eval_steps(steps, t):
         if zi <= t:
             value = si
     return value
+
+
+# The engine writes each step into buffers it owns; these are the plain
+# expressions it replaced, kept as the bit-for-bit reference.
+def reference_query_weights(x_kern, folded, queries, h):
+    k = np.exp(-0.5 * np.square((queries - x_kern) / h)) * (1.0 / np.sqrt(2.0 * np.pi))
+    if folded:
+        k = k.reshape(k.shape[0], 3, -1).sum(axis=1)
+    tot = k.sum(axis=1, keepdims=True)
+    return k / np.where(tot > 0.0, tot, 1.0), tot[:, 0] > 0.0
+
+
+def reference_product_limit_rows(w, d):
+    cum = np.cumsum(w, axis=1)
+    at_risk = 1.0 - (cum - w)
+    event = w * d
+    factors = 1.0 - event / np.maximum(at_risk, 1e-12)
+    np.clip(factors, 0.0, 1.0, out=factors)
+    factors[(at_risk <= 1e-12) & (event <= 1e-12)] = 1.0
+    return np.cumprod(factors, axis=1)

@@ -247,6 +247,109 @@ class TestRegionCommand:
         assert "alpha" in json.loads((tmp_path / "err.json").read_text())["message"]
 
 
+def _model_csv(tmp_path, n=60, seed=4):
+    from condsurv.dataio import save_csv
+    from condsurv.simulation import generate_sample, make_model
+
+    path = tmp_path / "model.csv"
+    save_csv(generate_sample(make_model("model1", 0.2), n, np.random.default_rng(seed)), path)
+    return str(path)
+
+
+def _outputs(tmp_path, stem, x0_tags):
+    return {
+        f"{tag}{ext}": (tmp_path / f"{stem}_x{tag}{ext}").read_bytes()
+        for tag in x0_tags
+        for ext in (".json", ".csv")
+        if (tmp_path / f"{stem}_x{tag}{ext}").exists()
+    }
+
+
+class TestSharedResamples:
+    """Resamples are drawn once per command, so a multi-x0 run equals separate runs."""
+
+    def run_each_way(self, tmp_path, flags):
+        main([*flags, "--x0", "0.4,0.6", "--out", str(tmp_path / "both")])
+        for x0 in ("0.4", "0.6"):
+            main([*flags, "--x0", x0, "--out", str(tmp_path / "one")])
+        both = _outputs(tmp_path, "both", ("0p4", "0p6"))
+        assert both and both == _outputs(tmp_path, "one", ("0p4", "0p6"))
+        return both
+
+    @pytest.mark.parametrize("method", ["1", "2"])
+    def test_smoothed_region_multi_x0_equals_single_runs(self, tmp_path, method):
+        data = _model_csv(tmp_path)
+        both = self.run_each_way(tmp_path, [
+            "region", "--data", data, "--method", method, "--estimator", "smoothed-beran",
+            "--h", "0.25", "--g", "0.1", "--B", "12", "--seed", "5", "--n-grid", "15",
+            "--support", "0,1",
+        ])
+        assert len(both) == 4
+        counters = json.loads(both["0p4.json"])["resampling"]
+        assert set(counters) == {"saturated_time_draws", "saturated_censoring_draws", "retried_draws"}
+        assert all(isinstance(v, int) and v >= 0 for v in counters.values())
+
+    def test_grid_selection_multi_x0_equals_single_runs(self, tmp_path):
+        data = _model_csv(tmp_path)
+        both = self.run_each_way(tmp_path, [
+            "select-bandwidth", "--data", data, "--estimator", "beran", "--B", "8",
+            "--seed", "6", "--strategy", "grid", "--grid-size", "5", "--n-grid", "15",
+        ])
+        assert len(both) == 2
+        payload = json.loads(both["0p6.json"])
+        assert len(payload["objective_trace"]) == 5
+        assert set(payload["resampling"]) == {
+            "saturated_time_draws", "saturated_censoring_draws", "retried_draws"
+        }
+
+    @pytest.mark.parametrize("fresh", [False, True])
+    def test_resample_calls_per_command(self, tmp_path, monkeypatch, fresh):
+        import condsurv.bandwidth
+        import condsurv.cli
+
+        seeds = {"shared": [], "per candidate": []}
+        for module, key in ((condsurv.cli, "shared"), (condsurv.bandwidth, "per candidate")):
+            def counted(sample, plan, *rest, _draw=module.resample, _key=key):
+                seeds[_key].append(plan.seed)
+                return _draw(sample, plan, *rest)
+
+            monkeypatch.setattr(module, "resample", counted)
+        data = _model_csv(tmp_path)
+        code = main([
+            "select-bandwidth", "--data", data, "--estimator", "beran", "--x0", "0.4,0.6",
+            "--B", "6", "--seed", "6", "--strategy", "grid", "--grid-size", "3",
+            "--n-grid", "10", "--out", str(tmp_path / "sel"),
+            *(["--fresh-resamples"] if fresh else []),
+        ])
+        assert code == 0
+        payload = json.loads((tmp_path / "sel_x0p4.json").read_text())
+        if fresh:
+            # a new set for each of the 3 candidates at each of the 2 x0 values
+            assert seeds["shared"] == []
+            assert len(seeds["per candidate"]) == 6 and 6 not in seeds["per candidate"]
+            assert len(set(seeds["per candidate"][:3])) == 3
+            assert payload["resampling"] is None
+        else:
+            assert seeds == {"shared": [6], "per candidate": []}
+            assert payload["resampling"] is not None
+
+
+def test_import_leaves_scipy_optimize_unloaded():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import condsurv
+
+    src = str(Path(condsurv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, condsurv; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 class TestSimulateCommand:
     def test_bandwidth_mode_smoke(self, tmp_path):
         out = tmp_path / "sim"

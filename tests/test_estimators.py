@@ -15,7 +15,13 @@ from condsurv import (
 from condsurv.errors import DegenerateWeightsError
 from condsurv.estimators import _jumps_from_survival, _product_limit_rows
 
-from conftest import eval_steps, pure_product_limit, random_sample
+from conftest import (
+    eval_steps,
+    pure_product_limit,
+    random_sample,
+    reference_product_limit_rows,
+    reference_query_weights,
+)
 
 
 class TestBeranWeights:
@@ -238,3 +244,51 @@ def test_single_curve_is_a_batch_of_one(censoring, support):
         np.testing.assert_array_equal(
             smoothed_beran_survival(s, x0, h, g, grid, support=support).values, smooth[0]
         )
+
+
+def test_product_limit_rows_match_reference_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for n in (1, 2, 7, 60):
+        w = rng.random((40, n)) ** 4
+        w[: n // 2 + 1, n // 2 :] *= 1e-14  # tails whose at-risk mass vanishes
+        w[5] = 0.0
+        w[6, 0] = 1.0
+        tot = w.sum(axis=1, keepdims=True)
+        w = np.divide(w, tot, out=np.zeros_like(w), where=tot > 0.0)
+        for d in (rng.integers(0, 2, n).astype(float), rng.integers(0, 2, (40, n)).astype(float)):
+            before = w.copy()
+            np.testing.assert_array_equal(_product_limit_rows(w, d), reference_product_limit_rows(w, d))
+            np.testing.assert_array_equal(w, before)
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("support", [None, (0.0, 1.0)])
+def test_query_weights_and_sorted_product_limit_match_reference(tied, support):
+    from condsurv.estimators import _query_weights, _sort_order
+    from condsurv.kernels import DEFAULT_KERNEL, _mirrored, kernel_fn
+
+    rng = np.random.default_rng(9)
+    kfn = kernel_fn(DEFAULT_KERNEL)
+    for n in (3, 25, 120):
+        s = random_sample(rng, n)
+        z = np.round(s.z, 1) if tied else s.z
+        order = _sort_order(z, s.delta)
+        x_kern = _mirrored(s.x[order], support)
+        folded = support is not None
+        # a column of queries, some far enough out that every weight underflows
+        queries = np.concatenate([rng.random(30), [40.0, -40.0]])[:, None]
+        for h in (0.01, 0.2, 3.0):
+            w, ok = _query_weights(x_kern, folded, queries, h, kfn)
+            w_ref, ok_ref = reference_query_weights(x_kern, folded, queries, h)
+            np.testing.assert_array_equal(w, w_ref)
+            np.testing.assert_array_equal(ok, ok_ref)
+            np.testing.assert_array_equal(
+                _product_limit_rows(w, s.delta[order]),
+                reference_product_limit_rows(w_ref, s.delta[order]),
+            )
+        # one scalar query against a matrix of per-sample covariates
+        x_rows = np.stack([x_kern, x_kern[::-1]])
+        w, ok = _query_weights(x_rows, folded, 0.3, 0.1, kfn)
+        w_ref, ok_ref = reference_query_weights(x_rows, folded, 0.3, 0.1)
+        np.testing.assert_array_equal(w, w_ref)
+        np.testing.assert_array_equal(ok, ok_ref)

@@ -20,7 +20,12 @@ from condsurv import (
 )
 from condsurv import make_model, generate_sample
 
-from conftest import pure_product_limit, random_sample
+from conftest import (
+    pure_product_limit,
+    random_sample,
+    reference_product_limit_rows,
+    reference_query_weights,
+)
 
 
 class TestPlan:
@@ -255,3 +260,52 @@ class TestResample:
         assert_allclose(out[7].z, again[7].z, rtol=0, atol=0)
         fraction = np.mean([rs.censoring_fraction for rs in out])
         assert abs(fraction - sample.censoring_fraction) <= 0.05
+
+
+def reference_smoothed_resample(sample, plan, support):
+    """The smoothed scheme written with the plain reference expressions, one gather per law."""
+    from condsurv.kernels import DEFAULT_KERNEL, _mirrored, fold_into_support, kernel_rvs
+
+    n, max_time = sample.n, float(sample.z.max())
+    x_kern = _mirrored(sample.x, support)
+    laws = [(sample.delta, np.lexsort((1.0 - sample.delta, sample.z))),
+            (1.0 - sample.delta, np.lexsort((sample.delta, sample.z)))]
+    out = []
+    for k in range(plan.B):
+        rng = substream(plan.seed, k)
+        j = rng.integers(0, n, size=n)
+        x_star = fold_into_support(sample.x[j] + plan.pilot_r * kernel_rvs(DEFAULT_KERNEL, rng, n), support)
+        draws = [(rng.random(n), kernel_rvs(DEFAULT_KERNEL, rng, n)) for _ in laws]
+        w, ok = reference_query_weights(x_kern, True, x_star[:, None], plan.pilot_r)
+        assert ok.all()
+        times = []
+        for (events, order), (u, eps) in zip(laws, draws):
+            cum = 1.0 - reference_product_limit_rows(w[:, order], events[order])
+            sat = u >= cum[:, -1]
+            step = sample.z[order][np.minimum(np.sum(cum < u[:, None], axis=1), n - 1)]
+            times.append(np.where(sat, max_time, np.maximum(0.0, step + plan.pilot_s * eps)))
+        t_star, c_star = times
+        out.append((x_star, np.minimum(t_star, c_star), (t_star <= c_star).astype(float)))
+    return out
+
+
+@pytest.mark.parametrize("tied", [False, True])
+def test_smoothed_scheme_matches_reference_bit_for_bit(tied):
+    from condsurv import pilot_r, pilot_s
+
+    model = make_model("model1", 0.5)
+    sample = generate_sample(model, 120, 12)
+    if tied:
+        sample = SurvivalSample(x=sample.x, z=np.round(sample.z, 1), delta=sample.delta)
+        # ties between an event and a censoring give the two laws different orders
+        assert not np.array_equal(np.lexsort((1.0 - sample.delta, sample.z)),
+                                  np.lexsort((sample.delta, sample.z)))
+    plan = ResamplingPlan(
+        SCHEME_SMOOTHED, pilot_r(sample, model.pilot_c), 3, 15, pilot_s=pilot_s(sample)
+    )
+    out, diag = resample(sample, plan, support=model.support)
+    assert diag.retried_draws == 0
+    for rs, (x, z, delta) in zip(out, reference_smoothed_resample(sample, plan, model.support)):
+        np.testing.assert_array_equal(rs.x, x)
+        np.testing.assert_array_equal(rs.z, z)
+        np.testing.assert_array_equal(rs.delta, delta)
