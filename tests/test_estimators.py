@@ -255,7 +255,9 @@ def test_product_limit_rows_match_reference_bit_for_bit():
         w[6, 0] = 1.0
         tot = w.sum(axis=1, keepdims=True)
         w = np.divide(w, tot, out=np.zeros_like(w), where=tot > 0.0)
-        for d in (rng.integers(0, 2, n).astype(float), rng.integers(0, 2, (40, n)).astype(float)):
+        w[7] = 2.0 / n  # mass 2: the at-risk mass vanishes while event mass remains
+        for d in (np.ones(n), rng.integers(0, 2, n).astype(float),
+                  rng.integers(0, 2, (40, n)).astype(float)):
             before = w.copy()
             np.testing.assert_array_equal(_product_limit_rows(w, d), reference_product_limit_rows(w, d))
             np.testing.assert_array_equal(w, before)
