@@ -17,13 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandwidth import (
-    _resampling_plan,
-    _select,
-    _validate_boxes,
-    default_covariate_box,
-    default_time_box,
-)
+from .bandwidth import _resampling_plan, _select, _validate_boxes, default_covariate_box, default_time_box
 from .benchmark import BenchConfig, make_model, run_benchmark, scaling_study, write_report
 from .dataio import DatasetSchema, filter_subpopulation, load_csv
 from .errors import (
@@ -361,10 +355,7 @@ def _cmd_region(args) -> int:
     _check_alpha(args.alpha)
     resamples, counters = _shared_resamples(sample, plan, args.support)
     build = region_method1 if args.method == 1 else region_method2
-    run_meta = {
-        "B": args.B, "n": sample.n, "filters": filters, "resampling": counters,
-        "version": __version__,
-    }
+    run_meta = {"B": args.B, "n": sample.n, "filters": filters, "resampling": counters, "version": __version__}
     for x0 in args.x0:
         region = build(
             sample, x0, args.h, plan, grid, alpha=args.alpha, g=args.g,

@@ -96,17 +96,6 @@ def _gaussian_density(u, out=None):
     return out if out.ndim else out[()]
 
 
-def _truncated_density(spec: KernelSpec):
-    def density(u, out=None):
-        dens = eval_kernel(spec, np.asarray(u, dtype=float))
-        if out is None:
-            return dens
-        out[...] = dens
-        return out
-
-    return density
-
-
 def kernel_fn(spec: KernelSpec):
     """Vectorized density closure ``f(u, out=None)``; plain Gaussian when truncation is inert.
 
@@ -115,7 +104,15 @@ def kernel_fn(spec: KernelSpec):
     """
     if _is_effectively_untruncated(spec):
         return _gaussian_density
-    return _truncated_density(spec)
+
+    def density(u, out=None):
+        dens = eval_kernel(spec, np.asarray(u, dtype=float))
+        if out is None:
+            return dens
+        out[...] = dens
+        return out
+
+    return density
 
 
 def integrated_kernel_fn(spec: KernelSpec):

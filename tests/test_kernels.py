@@ -79,6 +79,21 @@ def test_fast_paths_match_generic_evaluation():
     assert_allclose(integrated_kernel_fn(narrow)(u), eval_integrated_kernel(narrow, u), rtol=0, atol=0)
 
 
+@pytest.mark.parametrize("spec", [DEFAULT_KERNEL, KernelSpec(truncation_range=(-1.5, 3.0))])
+def test_kernel_closure_writes_into_out(spec):
+    u = np.linspace(-8.0, 8.0, 401)
+    kfn = kernel_fn(spec)
+    expected = kfn(u)
+    np.testing.assert_array_equal(u, np.linspace(-8.0, 8.0, 401))
+    buf = np.empty_like(u)
+    assert kfn(u, out=buf) is buf
+    np.testing.assert_array_equal(buf, expected)
+    in_place = u.copy()
+    kfn(in_place, out=in_place)
+    np.testing.assert_array_equal(in_place, expected)
+    assert float(kfn(0.3)) == eval_kernel(spec, 0.3)
+
+
 def test_kernel_spec_validation():
     with pytest.raises(ValueError):
         KernelSpec(family="epanechnikov")
