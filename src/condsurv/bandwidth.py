@@ -247,6 +247,8 @@ def _minimize(objective, boxes, strategy, grid_size, trace) -> tuple:
         return value
 
     if strategy == "grid":
+        if grid_size < 1:
+            raise ValueError(f"a grid search needs at least one point per axis, got grid_size={grid_size!r}")
         axes = [np.linspace(lo, hi, grid_size) for lo, hi in reversed(boxes)]
         for outer_first in itertools.product(*axes):
             evaluate(outer_first[::-1])

@@ -32,7 +32,7 @@ from .errors import (
 )
 from .estimators import beran_survival, kaplan_meier, smoothed_beran_survival
 from .kernels import DEFAULT_KERNEL
-from .regions import _check_alpha, region_method1, region_method2, write_region_csv
+from .regions import _check_alpha, _region_bandwidths, region_method1, region_method2, write_region_csv
 from .resampling import resample
 from .samples import TimeGrid
 
@@ -51,8 +51,19 @@ _NUMERICAL_ERRORS = (
 )
 
 
+class _Parser(argparse.ArgumentParser):
+    """Argument parser whose usage errors raise, so they end like any other validation error."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ValueError(message)
+
+
 def _float_list(text: str) -> list[float]:
-    return [float(part) for part in str(text).split(",") if part != ""]
+    values = [float(part) for part in str(text).split(",") if part != ""]
+    if not values:
+        raise ValueError(f"expected comma-separated numbers, got {text!r}")
+    return values
 
 
 def _pair(text: str) -> tuple[float, float]:
@@ -88,7 +99,7 @@ def _add_grid_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="condsurv",
         description="Conditional survival estimation with bootstrap bandwidths and confidence regions.",
     )
@@ -350,8 +361,7 @@ def _cmd_region(args) -> int:
     sample = dataset.sample
     grid = _build_grid(args, sample)
     plan = _resampling_plan(args.estimator, sample, args.c, args.seed, args.B)
-    if args.estimator == "smoothed-beran" and args.g is None:
-        raise ValueError("--g is required for the smoothed estimator")
+    _region_bandwidths(args.estimator, args.h, args.g)
     _check_alpha(args.alpha)
     resamples, counters = _shared_resamples(sample, plan, args.support)
     build = region_method1 if args.method == 1 else region_method2
@@ -412,26 +422,28 @@ _DISPATCH = {
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = None
     try:
+        args = parser.parse_args(argv)
         _apply_config_overrides(parser, args)
         return _DISPATCH[args.command](args)
     except _NUMERICAL_ERRORS as exc:
-        return _report_failure(args, exc, EXIT_NUMERICAL)
-    except _VALIDATION_ERRORS as exc:
-        return _report_failure(args, exc, EXIT_VALIDATION)
-    except OSError as exc:
-        return _report_failure(args, exc, EXIT_VALIDATION)
+        return _report_failure(args, argv, exc, EXIT_NUMERICAL)
+    except (*_VALIDATION_ERRORS, OSError) as exc:
+        return _report_failure(args, argv, exc, EXIT_VALIDATION)
 
 
-def _report_failure(args, exc: Exception, code: int) -> int:
+def _report_failure(args, argv, exc: Exception, code: int) -> int:
     print(f"error: {exc}", file=sys.stderr)
-    error_json = getattr(args, "error_json", None)
-    if error_json:
+    if args is None:  # the command line did not parse: read its --error-json alone
+        peek = argparse.ArgumentParser(add_help=False)
+        peek.add_argument("--error-json", nargs="?")
+        args = peek.parse_known_args(argv)[0]
+    if args.error_json:
         record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
         if isinstance(exc, DataValidationError) and exc.line_number is not None:
             record["line_number"] = exc.line_number
-        _write_json(error_json, record)
+        _write_json(args.error_json, record)
     return code
 
 

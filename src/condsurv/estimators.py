@@ -25,7 +25,6 @@ from .kernels import (
     _mirrored,
     integrated_kernel_fn,
     kernel_fn,
-    reflect_covariates,
 )
 from .samples import SurvivalCurve, SurvivalSample, TimeGrid
 
@@ -232,15 +231,12 @@ def beran_weights(
         If every kernel value is zero (x0 too far from all covariates at h).
     """
     h = _validate_bandwidth(h, "h")
-    if support is not None:
-        sample = reflect_covariates(sample, support)
-    k = kernel_fn(kernel)((x0 - sample.x) / h)
-    tot = k.sum()
-    if not tot > 0.0:
+    w, ok = _query_weights(_mirrored(sample.x, support)[None, :], False, float(x0), h, kernel_fn(kernel))
+    if not ok[0]:
         raise DegenerateWeightsError(
             f"all kernel weights vanish at x0={x0!r} with bandwidth h={h!r}"
         )
-    return BeranWeights(w=k / tot, x0=float(x0), h=h)
+    return BeranWeights(w=w[0], x0=float(x0), h=h)
 
 
 def beran_survival(

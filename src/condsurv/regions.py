@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bandwidth import _pilot_values
+from .bandwidth import _pilot_values, _resamples_or_generate
 from .errors import DegenerateVarianceError, DegenerateWeightsError, InsufficientReplicatesError
-from .estimators import _CurveBatch, _single_curve
+from .estimators import _CurveBatch, _single_curve, _validate_bandwidth
 from .kernels import DEFAULT_KERNEL, KernelSpec
-from .resampling import SCHEME_BERAN, SCHEME_SMOOTHED, ResamplingPlan, resample
+from .resampling import SCHEME_BERAN, SCHEME_SMOOTHED, ResamplingPlan
 from .samples import SurvivalCurve, SurvivalSample, TimeGrid, integrate_on_grid
 
 __all__ = [
@@ -102,6 +101,17 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
+def _order_statistic(values, alpha: float) -> float:
+    """The k-th smallest of B values, k = min{k : k/B >= 1 - alpha}.
+
+    The comparison is the one coverage_fraction makes, so both region methods
+    reach the level with the same k.
+    """
+    _check_alpha(alpha)
+    values = np.sort(values)
+    return float(values[np.argmax(np.arange(1, values.size + 1) / values.size >= 1.0 - alpha)])
+
+
 def calibrate_lambda(pilot_values, curves, sigma_star, alpha: float) -> float:
     """Exact order-statistic solution of the coverage equation p_hat(lambda) >= 1 - alpha.
 
@@ -111,7 +121,6 @@ def calibrate_lambda(pilot_values, curves, sigma_star, alpha: float) -> float:
     by the few ulps that the division can lose, until coverage_fraction
     itself reaches the level.
     """
-    _check_alpha(alpha)
     mat = _curve_matrix(curves)
     pilot = np.asarray(pilot_values, dtype=float)
     sigma = np.asarray(sigma_star, dtype=float)
@@ -120,10 +129,8 @@ def calibrate_lambda(pilot_values, curves, sigma_star, alpha: float) -> float:
     dev = np.abs(pilot[None, :] - mat)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(sigma > 0.0, dev / sigma, np.where(dev > 0.0, np.inf, 0.0))
-    m = np.sort(ratio.max(axis=1))
     target = 1.0 - alpha
-    reaches = np.arange(1, m.size + 1) / m.size >= target
-    lam = float(m[np.argmax(reaches)])
+    lam = _order_statistic(ratio.max(axis=1), alpha)
     if not np.isfinite(lam):
         raise DegenerateVarianceError("coverage never reaches the target level")
     while coverage_fraction(lam, pilot, mat, sigma) < target:
@@ -154,6 +161,16 @@ def clamp_and_plateau_fix(region: ConfidenceRegion) -> ConfidenceRegion:
     return replace(region, lower=lower, upper=upper, degenerate=degenerate)
 
 
+def _region_bandwidths(estimator: str, h: float, g: float | None) -> tuple:
+    """(h, g) checked to be positive and finite; a beran region ignores g and gets None."""
+    h = _validate_bandwidth(h, "h")
+    if estimator == "beran":
+        return h, None
+    if g is None:
+        raise ValueError("smoothed-beran regions require a time bandwidth g")
+    return h, _validate_bandwidth(g, "g")
+
+
 def _region_inputs(sample, x0, h, g, plan, grid, kernel, estimator, support, resamples):
     """Pilot, bootstrap curves, centre and the time bandwidth used (None for beran)."""
     scheme = {"beran": SCHEME_BERAN, "smoothed-beran": SCHEME_SMOOTHED}.get(estimator)
@@ -161,12 +178,8 @@ def _region_inputs(sample, x0, h, g, plan, grid, kernel, estimator, support, res
         raise ValueError(f"unknown estimator tag: {estimator!r}")
     if plan.scheme != scheme:
         raise ValueError(f"{estimator} regions require a {scheme}-scheme plan")
-    if scheme == SCHEME_BERAN:
-        g = None
-    elif g is None:
-        raise ValueError("smoothed-beran regions require a time bandwidth g")
-    if resamples is None:
-        resamples = resample(sample, plan, kernel, support)[0]
+    h, g = _region_bandwidths(estimator, h, g)
+    resamples = _resamples_or_generate(sample, plan, kernel, support, resamples)
     curves, ok = _CurveBatch(resamples, grid.points, kernel, support).values(x0, h, g)
     if not ok.all():
         raise DegenerateWeightsError("a bootstrap curve degenerated at the requested bandwidth")
@@ -212,11 +225,6 @@ def region_method1(
     return clamp_and_plateau_fix(region)
 
 
-def _order_statistic_index(B: int, alpha: float) -> int:
-    # ceil(B(1-alpha)) with protection against float fuzz, at least 1
-    return max(1, min(B, int(math.ceil(B * (1.0 - alpha) - 1e-9))))
-
-
 def lp_distance(values_a, values_b, grid: TimeGrid, p) -> float:
     """L_p distance between two curves on the grid; p may be 1, 2 or "sup"."""
     diff = np.abs(np.asarray(values_a, float) - np.asarray(values_b, float))
@@ -233,11 +241,8 @@ def method2_radius(pilot_values, curves, grid: TimeGrid, alpha: float, p="sup") 
     For p in {1, 2} the radius defines a membership test only; the sup norm
     additionally yields the plottable constant-width envelope.
     """
-    _check_alpha(alpha)
     mat = _curve_matrix(curves)
-    dists = np.array([lp_distance(row, pilot_values, grid, p) for row in mat])
-    dists.sort()
-    return float(dists[_order_statistic_index(mat.shape[0], alpha) - 1])
+    return _order_statistic([lp_distance(row, pilot_values, grid, p) for row in mat], alpha)
 
 
 def region_method2(

@@ -8,9 +8,9 @@ censoring law swaps the status indicator before fitting.
 
 Replicate k consumes the RNG stream derived from (seed, k), so results do
 not depend on evaluation order or the degree of parallelism.  Within a
-replicate the draw order is: covariate indices, covariate noise (smoothed
-scheme only), lifetime uniforms, lifetime noise, censoring uniforms,
-censoring noise.
+replicate the draw order is: covariate indices, covariate noise, lifetime
+uniforms, lifetime noise, censoring uniforms, censoring noise; the beran
+scheme makes no noise draws.
 """
 
 from __future__ import annotations
@@ -137,15 +137,36 @@ def inverse_transform_sample(cdf, u, support=None, tol: float = 1e-10):
     return vals, sat
 
 
-def _law_tables(sample, bandwidth, queries, kernel, support, censoring):
-    """(atoms, cum, ok): conditional cdf of T (or C) at each query covariate."""
-    events = 1.0 - sample.delta if censoring else sample.delta
-    order = _sort_order(sample.z, events)
-    x_kern = _mirrored(sample.x[order], support)
-    w, ok = _query_weights(
-        x_kern, support is not None, np.asarray(queries, dtype=float)[:, None], bandwidth, kernel_fn(kernel)
-    )
-    return sample.z[order], _cdf_rows(w, events[order]), ok
+def _conditional_laws(sample, bandwidth, kernel, support):
+    """The lifetime and censoring laws of a sample at one covariate bandwidth.
+
+    Returns (atoms, weights, cdf_rows).  `atoms` holds the sorted times of
+    each law: ascending z, that law's events first at ties, so the two orders
+    differ only where an event and a censoring share a time.
+    `weights(queries)` gives one kernel-weight matrix per query set,
+    normalized in the sample's column order, and the rows with kernel mass.
+    `cdf_rows(w)` yields the cdf rows of the lifetime law, then of the
+    censoring law, each gathering its own column order from `w` (once when
+    the orders coincide).
+    """
+    x_kern, folded, kfn = _mirrored(sample.x, support), support is not None, kernel_fn(kernel)
+    events = (sample.delta, 1.0 - sample.delta)
+    orders = [_sort_order(sample.z, e) for e in events]
+    same_order = np.array_equal(*orders)
+
+    def weights(queries):
+        return _query_weights(x_kern, folded, queries[:, None], bandwidth, kfn)
+
+    def cdf_rows(w):
+        ordered = np.take(w, orders[0], axis=1)
+        yield _cdf_rows(ordered, events[0][orders[0]])
+        if not same_order:
+            ordered = np.take(w, orders[1], axis=1)
+        # a caller that passes its only reference keeps one gather alive at a time
+        del w
+        yield _cdf_rows(ordered, events[1][orders[1]])
+
+    return [sample.z[order] for order in orders], weights, cdf_rows
 
 
 def conditional_step_law(
@@ -161,16 +182,18 @@ def conditional_step_law(
     This is exactly the table the resampler draws from; exposed for
     diagnostics and law-level tests.
     """
-    atoms, cum, ok = _law_tables(sample, bandwidth, np.atleast_1d(float(x0)), kernel, support, censoring)
+    atoms, weights, cdf_rows = _conditional_laws(sample, bandwidth, kernel, support)
+    w, ok = weights(np.atleast_1d(float(x0)))
     if not ok[0]:
         raise DegenerateWeightsError(f"no kernel mass at x0={x0!r} with bandwidth {bandwidth!r}")
-    return StepCDF(atoms=atoms, cum=cum[0])
+    return StepCDF(atoms=atoms[censoring], cum=list(cdf_rows(w))[censoring][0])
 
 
-def _rows_inverse(cum_rows: np.ndarray, atoms: np.ndarray, u: np.ndarray, top_value: float):
+def _rows_inverse(cum_rows: np.ndarray, atoms: np.ndarray, u: np.ndarray):
+    # inf{t : cdf(t) >= u} per row; u beyond the terminal mass saturates at the largest atom
     idx = np.sum(cum_rows < u[:, None], axis=1)
     sat = u >= cum_rows[:, -1]
-    vals = np.where(sat, top_value, atoms[np.minimum(idx, atoms.size - 1)])
+    vals = np.where(sat, atoms[-1], atoms[np.minimum(idx, atoms.size - 1)])
     return vals, sat
 
 
@@ -198,79 +221,40 @@ def resample(
         `samples` is a list of plan.B SurvivalSample objects of size n.
     """
     n = sample.n
-    max_time = float(sample.z.max())
-    kfn = kernel_fn(kernel)
+    smoothed = plan.scheme == SCHEME_SMOOTHED
+    atoms, weights, cdf_rows = _conditional_laws(sample, plan.pilot_r, kernel, support)
+    # beran: both laws tabulated once at the sample covariates, rows gathered by j
+    tables = None if smoothed else list(cdf_rows(weights(sample.x)[0]))
     diag = ResampleDiagnostics()
     out: list[SurvivalSample] = []
-
-    if plan.scheme == SCHEME_BERAN:
-        atoms_t, cum_t, _ = _law_tables(sample, plan.pilot_r, sample.x, kernel, support, False)
-        atoms_c, cum_c, _ = _law_tables(sample, plan.pilot_r, sample.x, kernel, support, True)
-        for k in range(plan.B):
-            rng = substream(plan.seed, k)
-            j = rng.integers(0, n, size=n)
-            u_t = rng.random(n)
-            u_c = rng.random(n)
-            t_star, sat_t = _rows_inverse(cum_t[j], atoms_t, u_t, max_time)
-            c_star, sat_c = _rows_inverse(cum_c[j], atoms_c, u_c, max_time)
-            diag.saturated_time_draws += int(sat_t.sum())
-            diag.saturated_censoring_draws += int(sat_c.sum())
-            out.append(
-                SurvivalSample(
-                    x=sample.x[j],
-                    z=np.minimum(t_star, c_star),
-                    delta=(t_star <= c_star).astype(float),
-                )
-            )
-        return out, diag
-
-    # smoothed-beran: per-replicate laws at freshly smoothed covariates.
-    # The lifetime and censoring laws share one kernel-weight matrix; only the
-    # tie-breaking sort order and the event indicator differ between them,
-    # and the orders coincide unless an event and a censoring share a time.
-    x_kern, folded = _mirrored(sample.x, support), support is not None
-    events_c = 1.0 - sample.delta
-    order_t = _sort_order(sample.z, sample.delta)
-    order_c = _sort_order(sample.z, events_c)
-    same_order = np.array_equal(order_t, order_c)
-    z_t, d_t = sample.z[order_t], sample.delta[order_t]
-    z_c, d_c = sample.z[order_c], events_c[order_c]
-    s = float(plan.pilot_s)
     for k in range(plan.B):
         rng = substream(plan.seed, k)
         j = rng.integers(0, n, size=n)
-        eps_x = kernel_rvs(kernel, rng, n)
-        x_star = sample.x[j] + plan.pilot_r * eps_x
-        if support is not None:
-            x_star = fold_into_support(x_star, support)
-        u_t = rng.random(n)
-        eps_t = kernel_rvs(kernel, rng, n)
-        u_c = rng.random(n)
-        eps_c = kernel_rvs(kernel, rng, n)
-
-        w, ok = _query_weights(x_kern, folded, x_star[:, None], plan.pilot_r, kfn)
-        if not ok.all():
-            bad = np.flatnonzero(~ok)
-            diag.retried_draws += bad.size
-            nearest = np.abs(sample.x[None, :] - x_star[bad, None]).argmin(axis=1)
-            x_star[bad] = sample.x[nearest]
-            w[bad], _ = _query_weights(x_kern, folded, x_star[bad, None], plan.pilot_r, kfn)
-
-        w_t = w[:, order_t]
-        w_c = w_t if same_order else w[:, order_c]
-        cum_rows_t = _cdf_rows(w_t, d_t)
-        cum_rows_c = _cdf_rows(w_c, d_c)
-        t_step, sat_t = _rows_inverse(cum_rows_t, z_t, u_t, max_time)
-        c_step, sat_c = _rows_inverse(cum_rows_c, z_c, u_c, max_time)
-        diag.saturated_time_draws += int(sat_t.sum())
-        diag.saturated_censoring_draws += int(sat_c.sum())
-        t_star = np.where(sat_t, max_time, np.maximum(0.0, t_step + s * eps_t))
-        c_star = np.where(sat_c, max_time, np.maximum(0.0, c_step + s * eps_c))
-        out.append(
-            SurvivalSample(
-                x=x_star,
-                z=np.minimum(t_star, c_star),
-                delta=(t_star <= c_star).astype(float),
-            )
-        )
+        x_star = sample.x[j]
+        if smoothed:
+            x_star = x_star + plan.pilot_r * kernel_rvs(kernel, rng, n)
+            if support is not None:
+                x_star = fold_into_support(x_star, support)
+            w, ok = weights(x_star)
+            if not ok.all():
+                bad = np.flatnonzero(~ok)
+                diag.retried_draws += bad.size
+                x_star[bad] = sample.x[np.abs(sample.x[None, :] - x_star[bad, None]).argmin(axis=1)]
+                w[bad] = weights(x_star[bad])[0]
+            rows = cdf_rows(w)
+            del w
+        else:
+            rows = (table[j] for table in tables)
+        times = []
+        for law_atoms in atoms:
+            u = rng.random(n)
+            step, sat = _rows_inverse(next(rows), law_atoms, u)
+            if smoothed:
+                eps = kernel_rvs(kernel, rng, n)
+                step = np.where(sat, step, np.maximum(0.0, step + plan.pilot_s * eps))
+            times.append((step, int(sat.sum())))
+        (t_star, sat_t), (c_star, sat_c) = times
+        diag.saturated_time_draws += sat_t
+        diag.saturated_censoring_draws += sat_c
+        out.append(SurvivalSample(x=x_star, z=np.minimum(t_star, c_star), delta=(t_star <= c_star).astype(float)))
     return out, diag

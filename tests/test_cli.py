@@ -247,6 +247,58 @@ class TestRegionCommand:
         assert "alpha" in json.loads((tmp_path / "err.json").read_text())["message"]
 
 
+class TestFlagValidation:
+    """Bad flag values exit 2 with an error record, before any resample is drawn."""
+
+    def run(self, tmp_path, *flags):
+        err_path = tmp_path / "err.json"
+        code = main([
+            *flags, "--data", _model_csv(tmp_path), "--seed", "3", "--B", "4", "--n-grid", "8",
+            "--out", str(tmp_path / "out"), "--error-json", str(err_path),
+        ])
+        record = json.loads(err_path.read_text()) if err_path.exists() else None
+        return code, record, sorted(p.name for p in tmp_path.glob("out*"))
+
+    @pytest.mark.parametrize("flags", [
+        ("region", "--x0", "0.5", "--h", "-0.2"),
+        ("region", "--x0", "0.5", "--h", "nan"),
+        ("region", "--method", "2", "--estimator", "smoothed-beran", "--x0", "0.5",
+         "--h", "0.2", "--g", "-0.08"),
+    ])
+    def test_region_bandwidths_must_be_positive(self, tmp_path, flags):
+        code, record, written = self.run(tmp_path, *flags)
+        assert code == 2 and record["exit_code"] == 2
+        assert "must be a positive finite number" in record["message"]
+        assert written == []
+
+    @pytest.mark.parametrize("flags", [
+        ("region", "--h", "0.3"),
+        ("select-bandwidth", "--strategy", "grid", "--grid-size", "3"),
+    ])
+    def test_empty_x0_list(self, tmp_path, flags):
+        code, record, written = self.run(tmp_path, *flags, "--x0", ",")
+        assert code == 2 and "--x0" in record["message"]
+        assert written == []
+
+    def test_empty_search_grid(self, tmp_path):
+        code, record, written = self.run(
+            tmp_path, "select-bandwidth", "--x0", "0.5", "--strategy", "grid", "--grid-size", "0"
+        )
+        assert code == 2 and "grid_size" in record["message"]
+        assert written == []
+
+    @pytest.mark.parametrize("flags", [
+        ("fit", "--x0", "0.5", "--h", "abc"),
+        ("region", "--x0", "0.5", "--h", "0.3", "--bogus"),
+        ("region", "--x0", "0.5"),
+    ])
+    def test_usage_errors_get_the_record(self, tmp_path, flags):
+        code, record, _ = self.run(tmp_path, *flags)
+        assert code == 2 and record == {
+            "error": "ValueError", "message": record["message"], "exit_code": 2,
+        }
+
+
 def _model_csv(tmp_path, n=60, seed=4):
     from condsurv.dataio import save_csv
     from condsurv.simulation import generate_sample, make_model

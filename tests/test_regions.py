@@ -183,6 +183,23 @@ class TestClampAndPlateau:
         assert_allclose(fixed.lower, [1.0, 1.0])
 
 
+@pytest.mark.parametrize("B, alpha", [(226, 1.0 - 4 / 226), (5, 0.2), (490, 0.05), (40, 0.05)])
+def test_both_methods_take_the_same_order_statistic(B, alpha):
+    # at B = 226, alpha = 1 - 4/226 the float 1 - alpha exceeds 4/226, so k = 5
+    grid = TimeGrid([1.0, 2.0])
+    pilot = np.zeros(2)
+    offsets = np.random.default_rng(B).permutation(np.arange(1, B + 1) / B)
+    curves = np.stack([offsets, np.zeros(B)], axis=1)
+    sigma = np.array([1.0, 0.0])
+    k = int(np.argmax(np.arange(1, B + 1) / B >= 1.0 - alpha)) + 1
+    rho = method2_radius(pilot, curves, grid, alpha)
+    lam = calibrate_lambda(pilot, curves, sigma, alpha)
+    assert rho == lam == k / B
+    assert coverage_fraction(lam, pilot, curves, sigma) >= 1.0 - alpha
+    assert np.mean(offsets <= rho) >= 1.0 - alpha
+    assert np.mean(offsets < rho) < 1.0 - alpha
+
+
 class TestMethod2Radius:
     def test_single_replicate(self):
         grid = TimeGrid([1.0, 2.0])
@@ -294,6 +311,21 @@ class TestRegionBuilders:
         assert given_g.calibration == plain.calibration
         for field in ("estimate", "lower", "upper"):
             assert np.array_equal(getattr(given_g, field), getattr(plain, field))
+
+    @pytest.mark.parametrize("builder", [region_method1, region_method2])
+    @pytest.mark.parametrize("h", [-0.3, 0.0, float("nan"), float("inf")])
+    def test_covariate_bandwidth_must_be_positive(self, builder, h):
+        with pytest.raises(ValueError, match="h must be"):
+            builder(self.sample, 0.6, h, self.plan, self.grid,
+                    support=self.model.support, resamples=self.resamples)
+
+    @pytest.mark.parametrize("builder", [region_method1, region_method2])
+    @pytest.mark.parametrize("g", [-0.08, 0.0, float("nan")])
+    def test_time_bandwidth_must_be_positive(self, builder, g):
+        plan = ResamplingPlan(SCHEME_SMOOTHED, self.plan.pilot_r, 5, 10, pilot_s=pilot_s(self.sample))
+        with pytest.raises(ValueError, match="g must be"):
+            builder(self.sample, 0.6, 0.3, plan, self.grid, g=g,
+                    estimator="smoothed-beran", support=self.model.support)
 
     def test_scheme_estimator_mismatch(self):
         with pytest.raises(ValueError):

@@ -309,3 +309,51 @@ def test_smoothed_scheme_matches_reference_bit_for_bit(tied):
         np.testing.assert_array_equal(rs.x, x)
         np.testing.assert_array_equal(rs.z, z)
         np.testing.assert_array_equal(rs.delta, delta)
+
+
+def reference_beran_resample(sample, plan, support):
+    """The beran scheme with the plain expressions: one table per law at the sample covariates."""
+    from condsurv.kernels import _mirrored
+
+    n, max_time = sample.n, float(sample.z.max())
+    laws = []
+    for events in (sample.delta, 1.0 - sample.delta):
+        order = np.lexsort((1.0 - events, sample.z))
+        x_kern = _mirrored(sample.x[order], support)
+        w, ok = reference_query_weights(x_kern, support is not None, sample.x[:, None], plan.pilot_r)
+        assert ok.all()
+        laws.append((sample.z[order], 1.0 - reference_product_limit_rows(w, events[order])))
+    out = []
+    for k in range(plan.B):
+        rng = substream(plan.seed, k)
+        j = rng.integers(0, n, size=n)
+        times = []
+        for atoms, table in laws:
+            u = rng.random(n)
+            cum = table[j]
+            step = atoms[np.minimum(np.sum(cum < u[:, None], axis=1), n - 1)]
+            times.append(np.where(u >= cum[:, -1], max_time, step))
+        t_star, c_star = times
+        out.append((sample.x[j], np.minimum(t_star, c_star), (t_star <= c_star).astype(float)))
+    return out
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("support", [None, (0.0, 1.0)])
+def test_beran_scheme_matches_reference_bit_for_bit(tied, support):
+    from condsurv import pilot_r
+
+    model = make_model("model1", 0.5)
+    sample = generate_sample(model, 150, 21)
+    if tied:
+        sample = SurvivalSample(x=sample.x, z=np.round(sample.z, 1), delta=sample.delta)
+        assert not np.array_equal(np.lexsort((1.0 - sample.delta, sample.z)),
+                                  np.lexsort((sample.delta, sample.z)))
+    plan = ResamplingPlan(SCHEME_BERAN, pilot_r(sample, model.pilot_c), 4, 20)
+    out, diag = resample(sample, plan, support=support)
+    reference = reference_beran_resample(sample, plan, support)
+    assert diag.saturated_time_draws + diag.saturated_censoring_draws > 0
+    for rs, (x, z, delta) in zip(out, reference, strict=True):
+        np.testing.assert_array_equal(rs.x, x)
+        np.testing.assert_array_equal(rs.z, z)
+        np.testing.assert_array_equal(rs.delta, delta)
