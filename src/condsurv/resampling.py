@@ -186,7 +186,7 @@ def conditional_step_law(
     w, ok = weights(np.atleast_1d(float(x0)))
     if not ok[0]:
         raise DegenerateWeightsError(f"no kernel mass at x0={x0!r} with bandwidth {bandwidth!r}")
-    return StepCDF(atoms=atoms[censoring], cum=list(cdf_rows(w))[censoring][0])
+    return StepCDF(atoms=atoms[int(censoring)], cum=list(cdf_rows(w))[int(censoring)][0])
 
 
 def _rows_inverse(cum_rows: np.ndarray, atoms: np.ndarray, u: np.ndarray):
