@@ -11,8 +11,10 @@ compared: the script prints whether its bytes are equal and, when they are
 not, the largest |difference| over its numbers (CSV cells and JSON numbers)
 with the place where it occurs, every top-level JSON number that moved, and
 the places whose shape differs (for example objective traces of different
-length, which are not compared entry by entry).  ``timings.json`` is
-skipped.  Exit status 0 means every file is byte-identical, 1 that some file
+length, which are not compared entry by entry).  For a ``select-bandwidth``
+file it also prints |dh*| and |dg*| in cells of its search box, a cell being
+(high - low)/31 (the default 32-point grid), and the smallest finite
+objective of each trace.  ``timings.json`` is skipped.  Exit status 0 means every file is byte-identical, 1 that some file
 differs, 2 that a command failed.
 """
 
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -78,17 +81,31 @@ def _csv_deltas(a: Path, b: Path, deltas: dict, mismatched: list) -> None:
                     mismatched.append(f"row {r} {header[c]}")
 
 
+def _search_moves(a: dict, b: dict) -> list[str]:
+    """How far the selected bandwidths moved, in search-box cells, and the best objectives."""
+    parts = []
+    for key, (lo, hi) in zip(("h_star", "g_star"), b["search_box"]):
+        parts.append(f"|d{key[0]}*|={abs(a[key] - b[key]) / ((hi - lo) / 31):.3g} cells")
+    best = [min(e[-1] for e in doc["objective_trace"] if math.isfinite(e[-1])) for doc in (a, b)]
+    verdict = "lower" if best[1] < best[0] else "equal" if best[1] == best[0] else "HIGHER"
+    parts.append(f"best objective {best[0]:.17g} -> {best[1]:.17g} ({verdict})")
+    return parts
+
+
 def compare_file(a: Path, b: Path) -> tuple[bool, str]:
     """(bytes equal, description) for one output file present in both trees."""
     if a.read_bytes() == b.read_bytes():
         return True, "equal"
     deltas: dict = {}
     mismatched: list = []
+    parts = []
     if a.suffix == ".json":
-        _json_deltas(json.loads(a.read_text()), json.loads(b.read_text()), "", deltas, mismatched)
+        docs = [json.loads(path.read_text()) for path in (a, b)]
+        _json_deltas(*docs, "", deltas, mismatched)
+        if all(isinstance(doc, dict) and doc.get("command") == "select-bandwidth" for doc in docs):
+            parts += _search_moves(*docs)
     else:
         _csv_deltas(a, b, deltas, mismatched)
-    parts = []
     if deltas:
         worst = max(deltas, key=deltas.get)
         parts.append(f"max|d|={deltas[worst]:.3g} at {worst}")

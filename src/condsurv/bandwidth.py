@@ -34,12 +34,9 @@ __all__ = [
     "select_bandwidth_2d",
 ]
 
-_PENALTY = 1e12
-# multistart starting points, as fractions of each search interval, by dimension
-_START_FRACTIONS = {
-    1: (0.1, 0.3, 0.5, 0.7, 0.9),
-    2: ((0.25, 0.25), (0.25, 0.75), (0.5, 0.5), (0.75, 0.25), (0.75, 0.75)),
-}
+# mesh-and-zoom search: coarse points per axis, then levels that each halve the cell
+_COARSE_POINTS = 16
+_ZOOM_LEVELS = 12
 
 
 @dataclass(frozen=True)
@@ -67,6 +64,7 @@ class BandwidthSelection:
     seed: int
     pilot_r: float
     pilot_s: float | None = None
+    search: dict | None = None  # counts: objective_evals, nonfinite_evals, tensor_builds
 
 
 def _quantile_spread(values) -> float:
@@ -234,42 +232,39 @@ def _minimize(objective, boxes, strategy, grid_size, trace) -> tuple:
     """Minimize objective(h) or objective(h, g) over one or two search intervals.
 
     Every evaluation is appended to `trace` as (h[, g], value), and the best
-    finite entry is returned.  "grid" evaluates the grid_size-point mesh
-    with g as the outer loop, so the integrated-kernel tensor is built once
-    per g value; "multistart" runs bounded L-BFGS-B with numerical gradients
-    from fixed starts, with non-finite values replaced by a large penalty.
+    finite entry is returned.  Both strategies run g as the outer loop, so
+    the integrated-kernel tensor is built once per g value.  "grid"
+    evaluates the grid_size-point mesh.  "multistart" is a deterministic
+    mesh-and-zoom search: a 16-point mesh per axis, then 12 levels of a
+    5-point mesh per axis over one cell either side of the best finite point
+    so far, clipped to the box, each level halving the cell and skipping
+    points already evaluated.  Its last spacing is 1/61440 of each interval.
     """
 
-    def evaluate(theta) -> float:
-        point = tuple(float(v) for v in theta)
-        value = float(objective(*point))
-        trace.append((*point, value))
-        return value
+    seen: dict = {}
+
+    def visit(axes):
+        # the mesh of `axes` (h first) with g as the outer loop, skipping points seen
+        for outer_first in itertools.product(*reversed(axes)):
+            point = tuple(float(v) for v in outer_first[::-1])
+            if point not in seen:
+                seen[point] = float(objective(*point))
+                trace.append((*point, seen[point]))
 
     if strategy == "grid":
         if grid_size < 1:
             raise ValueError(f"a grid search needs at least one point per axis, got grid_size={grid_size!r}")
-        axes = [np.linspace(lo, hi, grid_size) for lo, hi in reversed(boxes)]
-        for outer_first in itertools.product(*axes):
-            evaluate(outer_first[::-1])
+        visit([np.linspace(lo, hi, grid_size) for lo, hi in boxes])
     elif strategy == "multistart":
-        from scipy.optimize import minimize  # imported here: only this strategy needs it
-
-        lo, hi = np.array(boxes, dtype=float).T
-        eps = np.maximum(1e-4 * (hi - lo), 1e-10)
-
-        def penalized(theta):
-            value = evaluate(theta)
-            return value if np.isfinite(value) else _PENALTY
-
-        for frac in _START_FRACTIONS[len(boxes)]:
-            minimize(
-                penalized,
-                x0=lo + np.asarray(frac) * (hi - lo),
-                method="L-BFGS-B",
-                bounds=list(boxes),
-                options={"eps": eps, "maxiter": 80, "ftol": 1e-14, "gtol": 1e-12},
-            )
+        # candidates are integer steps of one lattice, so a point met again is recognized
+        top = (_COARSE_POINTS - 1) << _ZOOM_LEVELS
+        cell = 1 << _ZOOM_LEVELS
+        steps = [range(0, top + 1, cell)] * len(boxes)
+        for _ in range(_ZOOM_LEVELS + 1):
+            visit([[min(hi, lo + (hi - lo) * k / top) for k in ks] for ks, (lo, hi) in zip(steps, boxes)])
+            best = [round((v - lo) / (hi - lo) * top) for v, (lo, hi) in zip(_best_traced(trace), boxes)]
+            steps = [sorted({min(max(k + j * cell // 2, 0), top) for j in range(-2, 3)}) for k in best]
+            cell //= 2
     else:
         raise ValueError(f"unknown strategy: {strategy!r}")
     return _best_traced(trace)
@@ -283,23 +278,24 @@ def _select(sample, x0, boxes, plan, grid, kernel, strategy, grid_size, support,
     pilot = _pilot_values(sample, x0, plan, grid.points, kernel, support)
     widths = grid.cell_widths
 
-    if fresh_resamples:
-        counter = itertools.count(1)
-
-        def batch_for_candidate():
-            seed = child_seed(plan.seed, next(counter))
-            rs = resample(sample, replace(plan, seed=seed), kernel, support)[0]
-            return _CurveBatch(rs, grid.points, kernel, support)
-
+    if fresh_resamples:  # every candidate draws its own resample set
+        batches = (
+            _CurveBatch(resample(sample, replace(plan, seed=child_seed(plan.seed, k)), kernel, support)[0],
+                        grid.points, kernel, support)
+            for k in itertools.count(1)
+        )
     else:
         rs = _resamples_or_generate(sample, plan, kernel, support, resamples)
-        shared = _CurveBatch(rs, grid.points, kernel, support)
-
-        def batch_for_candidate():
-            return shared
+        batches = itertools.repeat(_CurveBatch(rs, grid.points, kernel, support))
+    tensor_builds = 0
 
     def objective(*bandwidths) -> float:
-        return _mean_integrated_sq(*batch_for_candidate().values(x0, *bandwidths), pilot, widths)
+        nonlocal tensor_builds
+        batch = next(batches)
+        before = batch.tensor_builds
+        value = _mean_integrated_sq(*batch.values(x0, *bandwidths), pilot, widths)
+        tensor_builds += batch.tensor_builds - before
+        return value
 
     trace: list = []
     best = _minimize(objective, boxes, strategy, grid_size, trace)
@@ -312,6 +308,8 @@ def _select(sample, x0, boxes, plan, grid, kernel, strategy, grid_size, support,
         seed=plan.seed,
         pilot_r=plan.pilot_r,
         pilot_s=plan.pilot_s,
+        search={"objective_evals": len(trace), "tensor_builds": tensor_builds,
+                "nonfinite_evals": sum(not np.isfinite(entry[-1]) for entry in trace)},
     )
 
 
@@ -331,10 +329,10 @@ def select_bandwidth_1d(
     """Minimize the bootstrap MISE of Beran's estimator over a bandwidth interval.
 
     Strategies: "grid" evaluates `grid_size` equispaced candidates;
-    "multistart" runs a bounded quasi-Newton search (numerical gradients)
-    from five equispaced starts and keeps the best evaluation seen.  With
-    `fresh_resamples` each candidate draws its own resample set instead of
-    sharing one, at the cost of a noisier objective.
+    "multistart" runs the deterministic mesh-and-zoom search of `_minimize`
+    (16 candidates, then 12 zoom levels, no gradients) and keeps the best
+    evaluation seen.  With `fresh_resamples` each candidate draws its own
+    resample set instead of sharing one, at the cost of a noisier objective.
     """
     return _select(sample, x0, (box,), plan, grid, kernel, strategy, grid_size, support,
                    resamples, fresh_resamples)
@@ -357,7 +355,8 @@ def select_bandwidth_2d(
     """Minimize the bootstrap MISE of the smoothed estimator over a search box.
 
     The "grid" strategy uses a grid_size x grid_size mesh; "multistart" runs
-    the bounded quasi-Newton search from five spread-out starts.
+    the mesh-and-zoom search of `_minimize` from a 16 x 16 mesh.  `search`
+    counts the evaluations, the non-finite ones and the tensor builds.
     """
     return _select(sample, x0, (box_h, box_g), plan, grid, kernel, strategy, grid_size, support,
                    resamples, fresh_resamples)

@@ -399,10 +399,6 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         h, g = bandwidths if smoothed else (bandwidths[0], g)
 
     if config.mode == "bandwidth":
-        if config.workers > 1 and config.strategy == "multistart":
-            # the search imports scipy.optimize on first use; importing it here
-            # lets the forked workers inherit it instead of each importing it
-            import scipy.optimize  # noqa: F401
         h_mise, g_mise = h, g if smoothed else None
         task = partial(_select_task, config, model, grid, boxes)
         selections, incomplete = _map_with_budget(task, config.n_samples, config.workers, deadline)

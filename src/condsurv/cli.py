@@ -123,7 +123,8 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--B", type=int, default=500, help="number of bootstrap resamples")
     sel.add_argument("--seed", type=int, required=True)
     sel.add_argument("--c", type=float, default=1.5, help="covariate pilot constant")
-    sel.add_argument("--strategy", choices=["grid", "multistart"], default="multistart")
+    sel.add_argument("--strategy", choices=["grid", "multistart"], default="multistart",
+                     help="grid: --grid-size points per axis; multistart: a 16-point mesh refined by 12 zoom levels")
     sel.add_argument("--grid-size", type=int, default=32)
     sel.add_argument("--box", type=_pair, default=None, help="covariate search interval 'low,high'")
     sel.add_argument("--box-g", type=_pair, default=None, help="time search interval 'low,high'")
@@ -350,6 +351,7 @@ def _cmd_select_bandwidth(args) -> int:
             "strategy": args.strategy,
             "filters": filters,
             "resampling": counters,
+            "search": selection.search,
             "version": __version__,
         }
         _write_json(f"{args.out}_x{_x0_tag(x0)}.json", payload)

@@ -31,6 +31,11 @@ from .samples import SurvivalCurve, SurvivalSample, TimeGrid
 __all__ = ["BeranWeights", "beran_weights", "beran_survival", "kaplan_meier", "smoothed_beran_survival"]
 
 _AT_RISK_EPS = 1e-12
+# entries per _CurveBatch cache: with g as the outer loop, a 16-point coarse
+# mesh plus the two new values of a zoom level (bandwidth._minimize) never
+# asks again for an evicted h or g.  The tensors also stay within a byte budget.
+_CACHE_SIZE = 18
+_TENSOR_CACHE_BYTES = 256 << 20
 
 
 @dataclass(frozen=True)
@@ -134,34 +139,43 @@ class _CurveBatch:
         self._ikfn = integrated_kernel_fn(kernel)
         self._counts = np.stack([np.searchsorted(z, self.points, side="right") for z in self.z])
         self._atoms = None
-        self._ik_cache: dict[float, np.ndarray] = {}
+        self._h_cache: dict = {}
+        self._ik_cache: dict = {}
+        self.tensor_builds = 0
 
     def values(self, x0: float, h: float, g: float | None = None):
         """Curve values at x0, one row per sample, and the rows with kernel mass.
 
         With g=None the rows are Beran step curves; otherwise their jumps are
-        smoothed in time at scale g.
+        smoothed in time at scale g.  The parts that depend on h alone or on g
+        alone are cached; cached parts give bit-identical values.
         """
-        w, ok = _query_weights(self._x_kern, self._folded, float(x0), h, self._kfn)
-        return self._grid_values(w, g), ok
-
-    def _grid_values(self, w: np.ndarray, g: float | None = None) -> np.ndarray:
-        """Curve values for covariate weights given in sorted order."""
-        surv = _product_limit_rows(w, self.d)
         if g is None:
-            padded = np.concatenate([np.ones((self.B, 1)), surv], axis=1)
-            return np.take_along_axis(padded, self._counts, axis=1)
+            w, ok = _query_weights(self._x_kern, self._folded, float(x0), h, self._kfn)
+            return self._grid_values(w), ok
+        ok, agg = _lru(self._h_cache, (float(x0), float(h)), lambda: self._jump_masses(x0, h), _CACHE_SIZE)
+        tensor = _lru(self._ik_cache, float(g), lambda: self._ik_tensor(g), self._tensor_slots)
+        vals = 1.0 - np.einsum("ktu,ku->kt", tensor, agg)
+        np.clip(vals, 0.0, 1.0, out=vals)
+        return vals, ok
+
+    def _grid_values(self, w: np.ndarray) -> np.ndarray:
+        """Beran step-curve values for covariate weights given in sorted order."""
+        padded = np.concatenate([np.ones((self.B, 1)), _product_limit_rows(w, self.d)], axis=1)
+        return np.take_along_axis(padded, self._counts, axis=1)
+
+    def _jump_masses(self, x0: float, h: float):
+        """Rows with kernel mass, and each row's Beran jump mass per distinct event time."""
+        w, ok = _query_weights(self._x_kern, self._folded, float(x0), h, self._kfn)
         if self._atoms is None:
             self._prepare_smooth()
-        jumps = _jumps_from_survival(surv)
+        jumps = _jumps_from_survival(_product_limit_rows(w, self.d))
         agg = np.zeros_like(self._atoms)
         for k in range(self.B):
             if self._starts[k].size:
                 red = np.add.reduceat(jumps[k, self._event_idx[k]], self._starts[k])
                 agg[k, : red.size] = red
-        vals = 1.0 - np.einsum("ktu,ku->kt", self._ik_tensor(g), agg)
-        np.clip(vals, 0.0, 1.0, out=vals)
-        return vals
+        return ok, agg
 
     def _prepare_smooth(self):
         # jump masses live only at uncensored positions, so the integrated
@@ -184,16 +198,22 @@ class _CurveBatch:
         self._event_idx = event_idx
         self._starts = starts
         self._atoms = atoms
+        self._tensor_slots = int(np.clip(_TENSOR_CACHE_BYTES // (8 * atoms.size * self.points.size), 1, _CACHE_SIZE))
 
     def _ik_tensor(self, g: float) -> np.ndarray:
-        key = float(g)
-        tensor = self._ik_cache.get(key)
-        if tensor is None:
-            if len(self._ik_cache) >= 4:
-                self._ik_cache.pop(next(iter(self._ik_cache)))
-            tensor = self._ikfn((self.points[None, :, None] - self._atoms[:, None, :]) / key)
-            self._ik_cache[key] = tensor
-        return tensor
+        self.tensor_builds += 1
+        return self._ikfn((self.points[None, :, None] - self._atoms[:, None, :]) / float(g))
+
+
+def _lru(cache: dict, key, build, size: int):
+    """cache[key], built on a miss; the least recently used entry goes when `size` are held."""
+    value = cache.pop(key, None)
+    if value is None:
+        value = build()
+        if len(cache) >= size:
+            cache.pop(next(iter(cache)))
+    cache[key] = value
+    return value
 
 
 def _single_curve(sample, x0, h, points, kernel, support, g=None) -> np.ndarray:

@@ -64,13 +64,13 @@ class ResamplingPlan:
     def __post_init__(self):
         if self.scheme not in (SCHEME_BERAN, SCHEME_SMOOTHED):
             raise ValueError(f"unknown resampling scheme: {self.scheme!r}")
-        if not self.pilot_r > 0.0:
-            raise ValueError("pilot_r must be positive")
+        if not 0.0 < self.pilot_r < np.inf:
+            raise ValueError("pilot_r must be positive and finite")
         if self.B < 1:
             raise ValueError("B must be at least 1")
         if self.scheme == SCHEME_SMOOTHED:
-            if self.pilot_s is None or not self.pilot_s > 0.0:
-                raise ValueError("smoothed-beran plans require a positive pilot_s")
+            if self.pilot_s is None or not 0.0 < self.pilot_s < np.inf:
+                raise ValueError("smoothed-beran plans require a positive finite pilot_s")
 
 
 @dataclass

@@ -19,7 +19,10 @@ from condsurv import (
     select_bandwidth_2d,
 )
 from condsurv import PilotBandwidths
-from condsurv.bandwidth import _minimize
+from condsurv.bandwidth import _mean_integrated_sq, _minimize, _pilot_values
+from condsurv.estimators import _CurveBatch
+from condsurv.kernels import DEFAULT_KERNEL
+from condsurv.resampling import resample
 from condsurv.errors import NoEventsError, SelectionFailedError
 
 from conftest import eval_steps, pure_product_limit, random_sample
@@ -225,6 +228,33 @@ class TestMinimizers:
         best, _ = _minimize(lambda h: (h - 0.37) ** 2, ((0.01, 2.0),), "multistart", 0, trace)
         assert best == pytest.approx(0.37, abs=1e-4)
 
+    @pytest.mark.parametrize("objective", [
+        lambda h, g: h + g,
+        lambda h, g: -h - g,
+        lambda h, g: np.sin(9.0 * h) * np.cos(7.0 * g) + 0.3 * h,
+    ])
+    def test_multistart_is_deterministic_and_stays_in_the_box(self, objective):
+        boxes = ((0.05, 1.3), (0.02, 0.9))
+        traces = ([], [])
+        results = [_minimize(objective, boxes, "multistart", 0, trace) for trace in traces]
+        assert results[0] == results[1] and traces[0] == traces[1]
+        points = np.array(traces[0])[:, :2]
+        lo, hi = np.array(boxes).T
+        assert (points >= lo).all() and (points <= hi).all()
+        assert len({tuple(p) for p in points}) == len(points)
+
+    @pytest.mark.parametrize("dims", [1, 2])
+    def test_multistart_finds_the_global_well(self, dims):
+        local, deep = np.array([0.4, 0.7])[:dims], np.array([1.6, 0.2])[:dims]
+
+        def two_wells(*theta):
+            p = np.array(theta)
+            return float(-np.exp(-np.sum((p - local) ** 2) / 0.1)
+                         - 1.5 * np.exp(-np.sum((p - deep) ** 2) / 0.03))
+
+        best = _minimize(two_wells, ((0.05, 2.0), (0.01, 1.0))[:dims], "multistart", 0, [])
+        assert np.allclose(best[:-1], deep, rtol=0, atol=1e-3)
+
     def test_all_infinite_raises(self):
         with pytest.raises(SelectionFailedError):
             _minimize(lambda h: float("inf"), ((0.01, 1.0),), "grid", 4, [])
@@ -301,3 +331,34 @@ class TestSelection:
         assert box_h[0] <= sel.h_star <= box_h[1]
         assert box_g[0] <= sel.g_star <= box_g[1]
         assert sel.pilot_s == plan.pilot_s
+
+    def _search_2d(self, seed):
+        rng = np.random.default_rng(seed)
+        s = random_sample(rng, 30)
+        plan = ResamplingPlan(SCHEME_SMOOTHED, pilot_r(s, 1.5), 21, 8, pilot_s=pilot_s(s))
+        grid = TimeGrid.uniform(float(np.quantile(s.z, 0.9)), 20)
+        rs = resample(s, plan)[0]
+        sel = select_bandwidth_2d(s, 0.5, default_covariate_box(s), default_time_box(s), plan, grid,
+                                  resamples=rs)
+        return s, plan, grid, rs, sel
+
+    def test_2d_search_builds_each_tensor_once(self):
+        for seed in (9, 10):
+            sel = self._search_2d(seed)[-1]
+            trace = sel.objective_trace
+            assert sel.search == {
+                "objective_evals": len(trace),
+                "nonfinite_evals": sum(not np.isfinite(entry[-1]) for entry in trace),
+                "tensor_builds": len({entry[1] for entry in trace}),
+            }
+
+    def test_trace_values_equal_fresh_batches_bit_for_bit(self):
+        s, plan, grid, rs, sel = self._search_2d(9)
+        pilot = _pilot_values(s, 0.5, plan, grid.points, DEFAULT_KERNEL, None)
+        warm = _CurveBatch(rs, grid.points)
+        for h, g, value in sel.objective_trace:
+            cold_values, cold_ok = _CurveBatch(rs, grid.points).values(0.5, h, g)
+            warm.values(0.5, h, 1.5 * g)  # the per-h part is now cached
+            warm_values, warm_ok = warm.values(0.5, h, g)
+            assert np.array_equal(warm_values, cold_values) and np.array_equal(warm_ok, cold_ok)
+            assert _mean_integrated_sq(cold_values, cold_ok, pilot, grid.cell_widths) == value

@@ -288,6 +288,16 @@ class TestFlagValidation:
         assert written == []
 
     @pytest.mark.parametrize("flags", [
+        ("region", "--x0", "0.5", "--h", "0.3"),
+        ("select-bandwidth", "--x0", "0.5", "--estimator", "smoothed-beran"),
+    ])
+    def test_infinite_pilot_constant(self, tmp_path, flags):
+        code, record, written = self.run(tmp_path, *flags, "--c", "inf")
+        assert code == 2 and record["exit_code"] == 2
+        assert "pilot_r must be positive and finite" in record["message"]
+        assert written == []
+
+    @pytest.mark.parametrize("flags", [
         ("fit", "--x0", "0.5", "--h", "abc"),
         ("region", "--x0", "0.5", "--h", "0.3", "--bogus"),
         ("region", "--x0", "0.5"),
@@ -400,6 +410,31 @@ def test_import_leaves_scipy_optimize_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
+
+
+def test_2d_search_leaves_scipy_optimize_unloaded(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import condsurv
+
+    src = str(Path(condsurv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    argv = ["select-bandwidth", "--data", _model_csv(tmp_path), "--estimator", "smoothed-beran",
+            "--x0", "0.5", "--B", "3", "--n-grid", "8", "--seed", "2", "--out", str(tmp_path / "s")]
+    code = f"import sys; from condsurv.cli import main; print(main({argv!r}), 'scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]
+    payload = json.loads((tmp_path / "s_x0p5.json").read_text())
+    trace = payload["objective_trace"]
+    assert payload["search"] == {
+        "objective_evals": len(trace),
+        "nonfinite_evals": sum(not np.isfinite(entry[-1]) for entry in trace),
+        "tensor_builds": len({entry[1] for entry in trace}),
+    }
 
 
 class TestSimulateCommand:

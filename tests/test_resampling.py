@@ -40,6 +40,17 @@ class TestPlan:
             ResamplingPlan(SCHEME_SMOOTHED, 0.1, 0, 10)
         ResamplingPlan(SCHEME_SMOOTHED, 0.1, 0, 10, pilot_s=0.2)
 
+    @pytest.mark.parametrize("scheme, r, s", [
+        (SCHEME_BERAN, np.inf, None),
+        (SCHEME_SMOOTHED, np.inf, 0.2),
+        (SCHEME_SMOOTHED, 0.1, np.inf),
+        (SCHEME_SMOOTHED, np.nan, 0.2),
+        (SCHEME_SMOOTHED, 0.1, np.nan),
+    ])
+    def test_pilots_must_be_finite(self, scheme, r, s):
+        with pytest.raises(ValueError, match="finite"):
+            ResamplingPlan(scheme, r, 0, 10, pilot_s=s)
+
 
 class TestSubstream:
     def test_deterministic_and_distinct(self):
