@@ -33,9 +33,10 @@ __all__ = ["BeranWeights", "beran_weights", "beran_survival", "kaplan_meier", "s
 _AT_RISK_EPS = 1e-12
 # entries per _CurveBatch cache: with g as the outer loop, a 16-point coarse
 # mesh plus the two new values of a zoom level (bandwidth._minimize) never
-# asks again for an evicted h or g.  The tensors also stay within a byte budget.
+# asks again for an evicted h or g.  Tensors past the byte budget are rebuilt
+# instead (one is always kept), so a grid that never returns to a g stays small.
 _CACHE_SIZE = 18
-_TENSOR_CACHE_BYTES = 256 << 20
+_TENSOR_CACHE_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
