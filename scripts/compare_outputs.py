@@ -14,8 +14,10 @@ the places whose shape differs (for example objective traces of different
 length, which are not compared entry by entry).  For a ``select-bandwidth``
 file it also prints |dh*| and |dg*| in cells of its search box, a cell being
 (high - low)/31 (the default 32-point grid), and the smallest finite
-objective of each trace.  ``timings.json`` is skipped.  Exit status 0 means every file is byte-identical, 1 that some file
-differs, 2 that a command failed.
+objective of each trace.  ``timings.json`` is skipped.  The last line counts
+the files compared, the byte-identical and differing ones, and the commands
+that failed.  Exit status 0 means every file is byte-identical, 1 that some
+file differs, 2 that a command failed.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def main(argv=None) -> int:
     sys.path[:0] = [str(ROOT / "perfbench"), str(trees[0] / "src")]
     import workloads
 
-    status = 0
+    compared = identical = failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for seed in (int(s) for s in args.seeds.split(",")):
             for name in workloads.PARAMS:
@@ -155,7 +157,7 @@ def main(argv=None) -> int:
                 failures = [f for tree, d in zip(trees, dirs) for f in run_commands(tree, cmds, d)]
                 for failure in failures:
                     print(f"seed {seed} {name}: FAILED {failure}")
-                status = 2 if failures else status
+                failed += len(failures)
                 files = sorted({p.relative_to(d) for d in dirs for p in d.rglob("*") if p.is_file()})
                 for rel in files:
                     if rel.name in SKIPPED:
@@ -166,8 +168,11 @@ def main(argv=None) -> int:
                     else:
                         equal, text = compare_file(a, b)
                     print(f"seed {seed} {name} {rel}: {text}", flush=True)
-                    status = max(status, 0 if equal else 1)
-    return status
+                    compared += 1
+                    identical += equal
+    print(f"{compared} files compared: {identical} byte-identical, {compared - identical} differing; "
+          f"{failed} commands failed")
+    return 2 if failed else 1 if identical < compared else 0
 
 
 if __name__ == "__main__":

@@ -143,13 +143,15 @@ def _pilot_values(sample, x0, plan, points, kernel, support):
     return _single_curve(sample, x0, plan.pilot_r, points, kernel, support, g)
 
 
-def _bootstrap_mise(name, sample, x0, bandwidths, plan, grid, kernel, support, resamples) -> float:
+def _bootstrap_mise(name, sample, x0, bandwidths, plan, points, widths, kernel, support,
+                    resamples) -> float:
+    """Resample mean of sum_t widths * (curve - pilot)^2 over the time points."""
     _check_scheme(plan, len(bandwidths), name)
     rs = _resamples_or_generate(sample, plan, kernel, support, resamples)
-    batch = _CurveBatch(rs, grid.points, kernel, support)
-    pilot = _pilot_values(sample, x0, plan, grid.points, kernel, support)
+    batch = _CurveBatch(rs, points, kernel, support)
+    pilot = _pilot_values(sample, x0, plan, points, kernel, support)
     values, ok = batch.values(x0, *(float(b) for b in bandwidths))
-    return _mean_integrated_sq(values, ok, pilot, grid.cell_widths)
+    return _mean_integrated_sq(values, ok, pilot, widths)
 
 
 def bootstrap_mise_1d(
@@ -167,9 +169,8 @@ def bootstrap_mise_1d(
     Averages the grid Riemann sum of (bootstrap curve - pilot curve)^2 over
     the plan's resamples; +inf when the weights at x0 degenerate for this h.
     """
-    return _bootstrap_mise(
-        "bootstrap_mise_1d", sample, x0, (h,), plan, grid, kernel, support, resamples
-    )
+    return _bootstrap_mise("bootstrap_mise_1d", sample, x0, (h,), plan, grid.points,
+                           grid.cell_widths, kernel, support, resamples)
 
 
 def bootstrap_mise_2d(
@@ -184,9 +185,8 @@ def bootstrap_mise_2d(
     resamples=None,
 ) -> float:
     """Bootstrap MISE of the smoothed estimator at the candidate pair (h, g)."""
-    return _bootstrap_mise(
-        "bootstrap_mise_2d", sample, x0, (h, g), plan, grid, kernel, support, resamples
-    )
+    return _bootstrap_mise("bootstrap_mise_2d", sample, x0, (h, g), plan, grid.points,
+                           grid.cell_widths, kernel, support, resamples)
 
 
 def bootstrap_mse_pointwise(
@@ -200,13 +200,8 @@ def bootstrap_mse_pointwise(
     resamples=None,
 ) -> float:
     """Bootstrap mean squared error at a single time point t0."""
-    _check_scheme(plan, 1, "bootstrap_mse_pointwise")
-    points = np.asarray([float(t0)])
-    rs = _resamples_or_generate(sample, plan, kernel, support, resamples)
-    batch = _CurveBatch(rs, points, kernel, support)
-    pilot = _pilot_values(sample, x0, plan, points, kernel, support)
-    values, ok = batch.values(x0, float(h))
-    return _mean_integrated_sq(values, ok, pilot, np.ones(1))
+    return _bootstrap_mise("bootstrap_mse_pointwise", sample, x0, (h,), plan, np.asarray([float(t0)]),
+                           np.ones(1), kernel, support, resamples)
 
 
 def _validate_boxes(boxes) -> tuple:

@@ -13,7 +13,6 @@ reports do not depend on the worker count.
 from __future__ import annotations
 
 import csv
-import json
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
@@ -33,9 +32,10 @@ from .bandwidth import (
     pilot_r,
     select_bandwidth_1d,
 )
+from .dataio import _write_json
 from .estimators import _CurveBatch
 from .kernels import DEFAULT_KERNEL, KernelSpec
-from .regions import region_method1, region_method2
+from .regions import _region
 from .resampling import SCHEME_BERAN, ResamplingPlan, child_seed, resample, substream
 from .samples import TimeGrid, integrate_on_grid
 from .simulation import SimModel, generate_sample, make_model
@@ -161,27 +161,23 @@ def mc_mise(
     (sample, grid) to curve values (used to check the harness itself).
     Fresh samples are drawn from streams (seed, j).
     """
-    truth = np.asarray(model.true_survival(grid.points, model.x0))
-    widths = grid.cell_widths
-    samples = [generate_sample(model, n, substream(seed, j)) for j in range(n_samples)]
     if callable(estimator):
-        integrals = [
-            integrate_on_grid((np.asarray(estimator(s, grid)) - truth) ** 2, grid)
-            for s in samples
-        ]
+        truth = np.asarray(model.true_survival(grid.points, model.x0))
+        samples = (generate_sample(model, n, substream(seed, j)) for j in range(n_samples))
+        integrals = [integrate_on_grid((np.asarray(estimator(s, grid)) - truth) ** 2, grid) for s in samples]
         return float(np.mean(integrals))
     if estimator not in ("beran", "smoothed-beran"):
         raise ValueError(f"unknown estimator: {estimator!r}")
-    batch = _CurveBatch(samples, grid.points, kernel, model.support)
     g = None if estimator == "beran" else float(g)
-    return _mean_integrated_sq(*batch.values(model.x0, float(h), g), truth, widths)
+    return _mise_function(model, grid, n_samples, n, seed, kernel)(float(h), g)
 
 
-def _truth_and_batch(model, grid, n_samples, n, seed, kernel):
+def _mise_function(model, grid, n_samples, n, seed, kernel):
+    """MISE against the model truth at x0 as a function of (h[, g]), over fixed samples (seed, j)."""
     samples = [generate_sample(model, n, substream(seed, j)) for j in range(n_samples)]
     batch = _CurveBatch(samples, grid.points, kernel, model.support)
     truth = np.asarray(model.true_survival(grid.points, model.x0))
-    return batch, truth
+    return lambda h, g=None: _mean_integrated_sq(*batch.values(model.x0, h, g), truth, grid.cell_widths)
 
 
 def _mise_optimal(model, boxes, grid, n_samples, n, n_candidates, seed, kernel):
@@ -189,11 +185,7 @@ def _mise_optimal(model, boxes, grid, n_samples, n, n_candidates, seed, kernel):
 
     The same Monte Carlo samples are reused for every candidate.
     """
-    batch, truth = _truth_and_batch(model, grid, n_samples, n, seed, kernel)
-
-    def objective(h, g=None):
-        return _mean_integrated_sq(*batch.values(model.x0, h, g), truth, grid.cell_widths)
-
+    objective = _mise_function(model, grid, n_samples, n, seed, kernel)
     *bandwidths, mise = _minimize(objective, boxes, "grid", n_candidates, [])
     return tuple(bandwidths), float(np.sqrt(mise))
 
@@ -323,15 +315,14 @@ def _region_task(config, model, grid, h, g, j):
     plan = _resampling_plan(config.estimator, sample, model.pilot_c, child_seed(config.seed, 1, j),
                             config.B)
     shared = resample(sample, plan, DEFAULT_KERNEL, model.support)[0]
-    out = {}
-    for method in config.methods:
-        build = region_method1 if method == 1 else region_method2
-        out[method] = build(
-            sample, model.x0, h, plan, grid,
+    return {
+        method: _region(
+            method, sample, model.x0, h, plan, grid,
             alpha=config.alpha, g=g, estimator=config.estimator,
             support=model.support, resamples=shared,
         )
-    return out
+        for method in config.methods
+    }
 
 
 def _map_with_budget(fn, n_tasks: int, workers: int, deadline: float | None):
@@ -406,17 +397,10 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         report.samples_completed = len(selections)
         report.h_mise, report.g_mise, report.rmise_at_optimal = h_mise, g_mise, rmise_opt
         if selections:
-            eval_seed = child_seed(config.seed, 5)
-            eval_batch, truth = _truth_and_batch(
-                model, grid, config.mise_samples, config.n, eval_seed, DEFAULT_KERNEL
-            )
-
-            def rmise_at(h, g=None):
-                values, ok = eval_batch.values(model.x0, h, g)
-                return float(np.sqrt(_mean_integrated_sq(values, ok, truth, grid.cell_widths)))
-
-            rmise_selected = [rmise_at(s.h_star, s.g_star) for s in selections]
-            rmise_ref = rmise_at(h_mise, g_mise)
+            mise_at = _mise_function(model, grid, config.mise_samples, config.n,
+                                     child_seed(config.seed, 5), DEFAULT_KERNEL)
+            rmise_selected = [float(np.sqrt(mise_at(s.h_star, s.g_star))) for s in selections]
+            rmise_ref = float(np.sqrt(mise_at(h_mise, g_mise)))
             report.bandwidth_metrics = relative_metrics(
                 selections, h_mise, rmise_selected, rmise_ref, g_mise=g_mise
             )
@@ -443,22 +427,10 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     return report
 
 
-def _jsonable(value):
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
-
-
 def report_to_dict(report: BenchReport) -> dict:
     data = asdict(report)
     data.pop("regions", None)
-    return _jsonable(data)
+    return data
 
 
 def write_report(report: BenchReport, out_dir) -> None:
@@ -469,9 +441,7 @@ def write_report(report: BenchReport, out_dir) -> None:
     out.mkdir(parents=True, exist_ok=True)
     data = report_to_dict(report)
     data["version"] = __version__
-    with open(out / "report.json", "w") as fh:
-        json.dump(data, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(out / "report.json", data)
     if report.mode == "bandwidth" and report.bandwidth_metrics is not None:
         bm = report.bandwidth_metrics
         rows = [

@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .bandwidth import _resampling_plan, _select, _validate_boxes, default_covariate_box, default_time_box
 from .benchmark import BenchConfig, make_model, run_benchmark, scaling_study, write_report
-from .dataio import DatasetSchema, filter_subpopulation, load_csv
+from .dataio import DatasetSchema, _write_json, filter_subpopulation, load_csv
 from .errors import (
     DataValidationError,
     DegenerateVarianceError,
@@ -32,7 +32,7 @@ from .errors import (
 )
 from .estimators import beran_survival, kaplan_meier, smoothed_beran_survival
 from .kernels import DEFAULT_KERNEL
-from .regions import _check_alpha, _region_bandwidths, region_method1, region_method2, write_region_csv
+from .regions import _check_alpha, _region, _region_bandwidths, write_region_csv
 from .resampling import resample
 from .samples import TimeGrid
 
@@ -253,12 +253,6 @@ def _build_grid(args, sample) -> TimeGrid:
     return TimeGrid.uniform(t_max, args.n_grid)
 
 
-def _write_json(path, payload) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def _write_curve_csv(path, grid, values) -> None:
     with open(path, "w", newline="") as fh:
         fh.write("t,s_hat\n")
@@ -366,11 +360,10 @@ def _cmd_region(args) -> int:
     _region_bandwidths(args.estimator, args.h, args.g)
     _check_alpha(args.alpha)
     resamples, counters = _shared_resamples(sample, plan, args.support)
-    build = region_method1 if args.method == 1 else region_method2
     run_meta = {"B": args.B, "n": sample.n, "filters": filters, "resampling": counters, "version": __version__}
     for x0 in args.x0:
-        region = build(
-            sample, x0, args.h, plan, grid, alpha=args.alpha, g=args.g,
+        region = _region(
+            args.method, sample, x0, args.h, plan, grid, alpha=args.alpha, g=args.g,
             estimator=args.estimator, support=args.support, resamples=resamples,
         )
         stem = f"{args.out}_x{_x0_tag(x0)}"

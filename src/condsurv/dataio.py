@@ -10,6 +10,7 @@ subpopulations.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -144,6 +145,16 @@ def save_csv(dataset, path, schema: DatasetSchema = DatasetSchema()) -> None:
             ]
             row.extend(str(dataset.factors[name][i]) for name in names)
             writer.writerow(row)
+
+
+def _write_json(path, payload) -> None:
+    """The one JSON record layout: 2-space indent, sorted keys, a trailing newline.
+
+    numpy arrays are written as lists and numpy scalars as numbers (`tolist`).
+    """
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True, default=lambda value: value.tolist())
+        fh.write("\n")
 
 
 def filter_subpopulation(dataset: LoadedDataset, criteria: dict) -> LoadedDataset:

@@ -31,11 +31,12 @@ from .samples import SurvivalCurve, SurvivalSample, TimeGrid
 __all__ = ["BeranWeights", "beran_weights", "beran_survival", "kaplan_meier", "smoothed_beran_survival"]
 
 _AT_RISK_EPS = 1e-12
-# entries per _CurveBatch cache: with g as the outer loop, a 16-point coarse
-# mesh plus the two new values of a zoom level (bandwidth._minimize) never
-# asks again for an evicted h or g.  Tensors past the byte budget are rebuilt
-# instead (one is always kept), so a grid that never returns to a g stays small.
-_CACHE_SIZE = 18
+# _CurveBatch cache bounds.  With g as the outer loop (bandwidth._minimize)
+# the jump masses hold a whole h axis of the default 32-point grid, and the
+# tensors a 16-point coarse mesh plus the two new g of a zoom level.  Tensors
+# past the byte budget are rebuilt instead (one is always kept).
+_H_CACHE_SIZE = 32
+_TENSOR_SLOTS = 18
 _TENSOR_CACHE_BYTES = 64 << 20
 
 
@@ -154,7 +155,7 @@ class _CurveBatch:
         if g is None:
             w, ok = _query_weights(self._x_kern, self._folded, float(x0), h, self._kfn)
             return self._grid_values(w), ok
-        ok, agg = _lru(self._h_cache, (float(x0), float(h)), lambda: self._jump_masses(x0, h), _CACHE_SIZE)
+        ok, agg = _lru(self._h_cache, (float(x0), float(h)), lambda: self._jump_masses(x0, h), _H_CACHE_SIZE)
         tensor = _lru(self._ik_cache, float(g), lambda: self._ik_tensor(g), self._tensor_slots)
         vals = 1.0 - np.einsum("ktu,ku->kt", tensor, agg)
         np.clip(vals, 0.0, 1.0, out=vals)
@@ -199,7 +200,7 @@ class _CurveBatch:
         self._event_idx = event_idx
         self._starts = starts
         self._atoms = atoms
-        self._tensor_slots = int(np.clip(_TENSOR_CACHE_BYTES // (8 * atoms.size * self.points.size), 1, _CACHE_SIZE))
+        self._tensor_slots = int(np.clip(_TENSOR_CACHE_BYTES // (8 * atoms.size * self.points.size), 1, _TENSOR_SLOTS))
 
     def _ik_tensor(self, g: float) -> np.ndarray:
         self.tensor_builds += 1

@@ -1,27 +1,28 @@
 """Bootstrap confidence regions for the conditional survival curve.
 
-Method 1 calibrates a variance-scaled envelope: the multiplier lambda* solves
-the Monte Carlo coverage equation exactly as an order statistic of the
-replicate deviations max_t |pilot - curve| / sigma, where a replicate counts
-as covered when the pilot curve stays inside its envelope at every grid
-point.  Method 2 is a norm ball: the radius rho* is an order statistic
-of the replicate distances to the pilot curve, giving a constant-width band
-under the sup norm.
+Both methods build the envelope estimate +- lambda* scale(t), where lambda*
+solves the Monte Carlo coverage equation exactly as an order statistic of the
+replicate deviations max_t |pilot - curve| / scale, a replicate counting as
+covered when the pilot curve stays inside its envelope at every grid point.
+Method 1 scales by the bootstrap standard deviation sigma*(t|x0).  Method 2
+scales by one: a sup-norm ball whose radius rho* = lambda* is the order
+statistic of the replicate sup distances to the pilot curve, giving a
+constant-width band.
 """
 
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bandwidth import _pilot_values, _resamples_or_generate
+from .dataio import _write_json
 from .errors import DegenerateVarianceError, DegenerateWeightsError, InsufficientReplicatesError
 from .estimators import _CurveBatch, _single_curve, _validate_bandwidth
 from .kernels import DEFAULT_KERNEL, KernelSpec
-from .resampling import SCHEME_BERAN, SCHEME_SMOOTHED, ResamplingPlan
+from .resampling import ResamplingPlan
 from .samples import SurvivalCurve, SurvivalSample, TimeGrid, integrate_on_grid
 
 __all__ = [
@@ -173,11 +174,9 @@ def _region_bandwidths(estimator: str, h: float, g: float | None) -> tuple:
 
 def _region_inputs(sample, x0, h, g, plan, grid, kernel, estimator, support, resamples):
     """Pilot, bootstrap curves, centre and the time bandwidth used (None for beran)."""
-    scheme = {"beran": SCHEME_BERAN, "smoothed-beran": SCHEME_SMOOTHED}.get(estimator)
-    if scheme is None:
-        raise ValueError(f"unknown estimator tag: {estimator!r}")
-    if plan.scheme != scheme:
-        raise ValueError(f"{estimator} regions require a {scheme}-scheme plan")
+    # estimator tags and resampling scheme names are the same strings
+    if plan.scheme != estimator:
+        raise ValueError(f"{estimator!r} regions require a {estimator!r}-scheme plan, got {plan.scheme!r}")
     h, g = _region_bandwidths(estimator, h, g)
     resamples = _resamples_or_generate(sample, plan, kernel, support, resamples)
     curves, ok = _CurveBatch(resamples, grid.points, kernel, support).values(x0, h, g)
@@ -186,6 +185,38 @@ def _region_inputs(sample, x0, h, g, plan, grid, kernel, estimator, support, res
     pilot = _pilot_values(sample, x0, plan, grid.points, kernel, support)
     center = _single_curve(sample, x0, h, grid.points, kernel, support, g)
     return pilot, curves, center, g
+
+
+def _region(method, sample, x0, h, plan, grid, kernel=DEFAULT_KERNEL, alpha=0.05, g=None,
+            estimator="beran", support=None, resamples=None) -> ConfidenceRegion:
+    """Region of method 1 or 2: estimate +- lambda* scale, clamped into [0, 1].
+
+    The scale is sigma* for method 1 and one for method 2.  With scale one the
+    deviations are divided by one and lambda* multiplies one, both exactly, so
+    method 2's lambda* is the sup-norm radius rho* of method2_radius.
+    """
+    pilot, curves, center, g = _region_inputs(
+        sample, x0, h, g, plan, grid, kernel, estimator, support, resamples
+    )
+    sigma = bootstrap_sigma(curves) if method == 1 else None
+    scale = sigma if method == 1 else np.ones(grid.n_points)
+    lam = calibrate_lambda(pilot, curves, scale, alpha)
+    region = ConfidenceRegion(
+        grid=grid,
+        lower=center - lam * scale,
+        upper=center + lam * scale,
+        estimate=center,
+        method=f"method{method}",
+        estimator_tag=estimator,
+        level=1.0 - alpha,
+        calibration=lam,
+        x0=float(x0),
+        h=float(h),
+        g=None if g is None else float(g),
+        sigma_star=sigma,
+        seed=plan.seed,
+    )
+    return clamp_and_plateau_fix(region)
 
 
 def region_method1(
@@ -202,27 +233,7 @@ def region_method1(
     resamples=None,
 ) -> ConfidenceRegion:
     """Variance-scaled envelope: estimate +- lambda* sigma*(t|x0), lambda* an exact order statistic."""
-    pilot, curves, center, g = _region_inputs(
-        sample, x0, h, g, plan, grid, kernel, estimator, support, resamples
-    )
-    sigma = bootstrap_sigma(curves)
-    lam = calibrate_lambda(pilot, curves, sigma, alpha)
-    region = ConfidenceRegion(
-        grid=grid,
-        lower=center - lam * sigma,
-        upper=center + lam * sigma,
-        estimate=center,
-        method="method1",
-        estimator_tag=estimator,
-        level=1.0 - alpha,
-        calibration=lam,
-        x0=float(x0),
-        h=float(h),
-        g=None if g is None else float(g),
-        sigma_star=sigma,
-        seed=plan.seed,
-    )
-    return clamp_and_plateau_fix(region)
+    return _region(1, sample, x0, h, plan, grid, kernel, alpha, g, estimator, support, resamples)
 
 
 def lp_distance(values_a, values_b, grid: TimeGrid, p) -> float:
@@ -262,25 +273,7 @@ def region_method2(
     """Sup-norm ball region: estimate +- rho*, constant width before clamping."""
     if norm != "sup":
         raise ValueError("only the sup norm has an envelope representation")
-    pilot, curves, center, g = _region_inputs(
-        sample, x0, h, g, plan, grid, kernel, estimator, support, resamples
-    )
-    rho = method2_radius(pilot, curves, grid, alpha, p="sup")
-    region = ConfidenceRegion(
-        grid=grid,
-        lower=center - rho,
-        upper=center + rho,
-        estimate=center,
-        method="method2",
-        estimator_tag=estimator,
-        level=1.0 - alpha,
-        calibration=rho,
-        x0=float(x0),
-        h=float(h),
-        g=None if g is None else float(g),
-        seed=plan.seed,
-    )
-    return clamp_and_plateau_fix(region)
+    return _region(2, sample, x0, h, plan, grid, kernel, alpha, g, estimator, support, resamples)
 
 
 def write_region_csv(region: ConfidenceRegion, csv_path, sidecar_path=None, extra=None) -> None:
@@ -308,6 +301,4 @@ def write_region_csv(region: ConfidenceRegion, csv_path, sidecar_path=None, extr
         }
         if extra:
             meta.update(extra)
-        with open(sidecar_path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_json(sidecar_path, meta)

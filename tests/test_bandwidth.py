@@ -352,6 +352,26 @@ class TestSelection:
                 "tensor_builds": len({entry[1] for entry in trace}),
             }
 
+    def test_2d_grid_computes_each_h_jump_masses_once(self, monkeypatch):
+        # g is the outer loop, so every h of the 32-point axis is asked for once per g
+        calls = []
+        original = _CurveBatch._jump_masses
+
+        def counted(batch, x0, h):
+            calls.append(h)
+            return original(batch, x0, h)
+
+        monkeypatch.setattr(_CurveBatch, "_jump_masses", counted)
+        rng = np.random.default_rng(9)
+        s = random_sample(rng, 30)
+        plan = ResamplingPlan(SCHEME_SMOOTHED, pilot_r(s, 1.5), 21, 4, pilot_s=pilot_s(s))
+        grid = TimeGrid.uniform(float(np.quantile(s.z, 0.9)), 20)
+        box_h = default_covariate_box(s)
+        select_bandwidth_2d(s, 0.5, box_h, default_time_box(s), plan, grid, strategy="grid",
+                            grid_size=32)
+        # one computation per grid h, plus the pilot curve's at pilot_r
+        assert sorted(calls) == sorted([*(float(h) for h in np.linspace(*box_h, 32)), plan.pilot_r])
+
     def test_trace_values_equal_fresh_batches_bit_for_bit(self):
         s, plan, grid, rs, sel = self._search_2d(9)
         pilot = _pilot_values(s, 0.5, plan, grid.points, DEFAULT_KERNEL, None)

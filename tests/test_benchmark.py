@@ -19,7 +19,7 @@ from condsurv import (
     winkler_scores,
     write_report,
 )
-from condsurv.benchmark import report_to_dict
+from condsurv.benchmark import BenchReport, report_to_dict
 from condsurv.errors import SelectionFailedError
 from condsurv.regions import ConfidenceRegion
 
@@ -211,6 +211,18 @@ class TestRunBenchmark:
         assert table[0] == "metric,method1,method2"
         data = json.loads((tmp_path / "report.json").read_text())
         assert data["bandwidth_h"] == 0.3
+
+    def test_report_json_encodes_numpy_values(self, tmp_path):
+        report = BenchReport(
+            model="model1", censoring=np.float32(0.5), estimator="beran", mode="regions",
+            n=np.int64(30), n_samples=2, B=5, n_grid=10, seed=6, samples_completed=2,
+            incomplete=False, h_stars=np.array([0.25, 0.5]),
+        )
+        write_report(report, tmp_path)
+        data = json.loads((tmp_path / "report.json").read_text())
+        assert type(data["censoring"]) is float and data["censoring"] == 0.5
+        assert type(data["n"]) is int and data["n"] == 30
+        assert data["h_stars"] == [0.25, 0.5]
 
     def test_budget_zero_marks_incomplete(self):
         config = BenchConfig(

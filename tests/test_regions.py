@@ -200,6 +200,23 @@ def test_both_methods_take_the_same_order_statistic(B, alpha):
     assert np.mean(offsets < rho) < 1.0 - alpha
 
 
+@pytest.mark.parametrize("seed", range(4))
+def test_unit_scale_calibration_is_the_sup_radius_at_ties(seed):
+    # each replicate's sup deviation sits at one column and takes one of four
+    # values, so many replicates tie at the k-th order statistic
+    rng = np.random.default_rng(seed)
+    B, T = 60, 12
+    pilot = rng.random(T)
+    curves = pilot + rng.uniform(-0.1, 0.1, (B, T))
+    curves[:, 3] = pilot[3] + rng.choice([0.2, 0.3, -0.3, 0.4], B)
+    grid = TimeGrid(np.arange(1.0, T + 1))
+    sups = np.abs(pilot - curves).max(axis=1)
+    for alpha in (0.05, 0.2, 0.5):
+        lam = calibrate_lambda(pilot, curves, np.ones(T), alpha)
+        assert lam == method2_radius(pilot, curves, grid, alpha)
+        assert np.sum(sups == lam) > 1
+
+
 class TestMethod2Radius:
     def test_single_replicate(self):
         grid = TimeGrid([1.0, 2.0])
