@@ -10,14 +10,13 @@ re-evaluating the objective at the same point returns the identical value.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoEventsError, SelectionFailedError
 from .estimators import _CurveBatch, _single_curve
-from .kernels import DEFAULT_KERNEL, KernelSpec
-from .resampling import SCHEME_BERAN, SCHEME_SMOOTHED, ResamplingPlan, child_seed, resample
+from .resampling import SCHEME_BERAN, SCHEME_SMOOTHED, ResamplingPlan, resample
 from .samples import SurvivalSample, TimeGrid
 
 __all__ = [
@@ -125,10 +124,10 @@ def _mean_integrated_sq(values, ok, pilot_vals, widths) -> float:
     return float(np.mean((diff * diff) @ widths))
 
 
-def _resamples_or_generate(sample, plan, kernel, support, resamples):
+def _resamples_or_generate(sample, plan, support, resamples):
     if resamples is not None:
         return list(resamples)
-    return resample(sample, plan, kernel, support)[0]
+    return resample(sample, plan, support)[0]
 
 
 def _check_scheme(plan, n_bandwidths: int, name: str) -> None:
@@ -138,18 +137,17 @@ def _check_scheme(plan, n_bandwidths: int, name: str) -> None:
         raise ValueError(f"{name} requires a {scheme}-scheme plan")
 
 
-def _pilot_values(sample, x0, plan, points, kernel, support):
+def _pilot_values(sample, x0, plan, points, support):
     g = plan.pilot_s if plan.scheme == SCHEME_SMOOTHED else None
-    return _single_curve(sample, x0, plan.pilot_r, points, kernel, support, g)
+    return _single_curve(sample, x0, plan.pilot_r, points, support, g)
 
 
-def _bootstrap_mise(name, sample, x0, bandwidths, plan, points, widths, kernel, support,
-                    resamples) -> float:
+def _bootstrap_mise(name, sample, x0, bandwidths, plan, points, widths, support, resamples) -> float:
     """Resample mean of sum_t widths * (curve - pilot)^2 over the time points."""
     _check_scheme(plan, len(bandwidths), name)
-    rs = _resamples_or_generate(sample, plan, kernel, support, resamples)
-    batch = _CurveBatch(rs, points, kernel, support)
-    pilot = _pilot_values(sample, x0, plan, points, kernel, support)
+    rs = _resamples_or_generate(sample, plan, support, resamples)
+    batch = _CurveBatch(rs, points, support)
+    pilot = _pilot_values(sample, x0, plan, points, support)
     values, ok = batch.values(x0, *(float(b) for b in bandwidths))
     return _mean_integrated_sq(values, ok, pilot, widths)
 
@@ -160,7 +158,6 @@ def bootstrap_mise_1d(
     h: float,
     plan: ResamplingPlan,
     grid: TimeGrid,
-    kernel: KernelSpec = DEFAULT_KERNEL,
     support: tuple[float, float] | None = None,
     resamples=None,
 ) -> float:
@@ -170,7 +167,7 @@ def bootstrap_mise_1d(
     the plan's resamples; +inf when the weights at x0 degenerate for this h.
     """
     return _bootstrap_mise("bootstrap_mise_1d", sample, x0, (h,), plan, grid.points,
-                           grid.cell_widths, kernel, support, resamples)
+                           grid.cell_widths, support, resamples)
 
 
 def bootstrap_mise_2d(
@@ -180,13 +177,12 @@ def bootstrap_mise_2d(
     g: float,
     plan: ResamplingPlan,
     grid: TimeGrid,
-    kernel: KernelSpec = DEFAULT_KERNEL,
     support: tuple[float, float] | None = None,
     resamples=None,
 ) -> float:
     """Bootstrap MISE of the smoothed estimator at the candidate pair (h, g)."""
     return _bootstrap_mise("bootstrap_mise_2d", sample, x0, (h, g), plan, grid.points,
-                           grid.cell_widths, kernel, support, resamples)
+                           grid.cell_widths, support, resamples)
 
 
 def bootstrap_mse_pointwise(
@@ -195,23 +191,22 @@ def bootstrap_mse_pointwise(
     t0: float,
     h: float,
     plan: ResamplingPlan,
-    kernel: KernelSpec = DEFAULT_KERNEL,
     support: tuple[float, float] | None = None,
     resamples=None,
 ) -> float:
     """Bootstrap mean squared error at a single time point t0."""
     return _bootstrap_mise("bootstrap_mse_pointwise", sample, x0, (h,), plan, np.asarray([float(t0)]),
-                           np.ones(1), kernel, support, resamples)
+                           np.ones(1), support, resamples)
 
 
 def _validate_boxes(boxes) -> tuple:
-    """The search intervals as (low, high) floats, checked to satisfy 0 < low < high."""
+    """The search intervals as (low, high) floats, checked to satisfy 0 < low < high < inf."""
     labels = ("search box",) if len(boxes) == 1 else ("covariate search box", "time search box")
     checked = []
     for box, name in zip(boxes, labels):
         lo, hi = float(box[0]), float(box[1])
-        if not (0.0 < lo < hi):
-            raise ValueError(f"{name} must satisfy 0 < low < high")
+        if not (0.0 < lo < hi < np.inf):
+            raise ValueError(f"{name} must satisfy 0 < low < high with finite bounds")
         checked.append((lo, hi))
     return tuple(checked)
 
@@ -265,32 +260,16 @@ def _minimize(objective, boxes, strategy, grid_size, trace) -> tuple:
     return _best_traced(trace)
 
 
-def _select(sample, x0, boxes, plan, grid, kernel, strategy, grid_size, support, resamples,
-            fresh_resamples) -> BandwidthSelection:
+def _select(sample, x0, boxes, plan, grid, strategy, grid_size, support, resamples) -> BandwidthSelection:
     """Bootstrap MISE minimization over h alone (one box) or over (h, g) (two boxes)."""
     _check_scheme(plan, len(boxes), f"select_bandwidth_{len(boxes)}d")
     boxes = _validate_boxes(boxes)
-    pilot = _pilot_values(sample, x0, plan, grid.points, kernel, support)
+    pilot = _pilot_values(sample, x0, plan, grid.points, support)
     widths = grid.cell_widths
-
-    if fresh_resamples:  # every candidate draws its own resample set
-        batches = (
-            _CurveBatch(resample(sample, replace(plan, seed=child_seed(plan.seed, k)), kernel, support)[0],
-                        grid.points, kernel, support)
-            for k in itertools.count(1)
-        )
-    else:
-        rs = _resamples_or_generate(sample, plan, kernel, support, resamples)
-        batches = itertools.repeat(_CurveBatch(rs, grid.points, kernel, support))
-    tensor_builds = 0
+    batch = _CurveBatch(_resamples_or_generate(sample, plan, support, resamples), grid.points, support)
 
     def objective(*bandwidths) -> float:
-        nonlocal tensor_builds
-        batch = next(batches)
-        before = batch.tensor_builds
-        value = _mean_integrated_sq(*batch.values(x0, *bandwidths), pilot, widths)
-        tensor_builds += batch.tensor_builds - before
-        return value
+        return _mean_integrated_sq(*batch.values(x0, *bandwidths), pilot, widths)
 
     trace: list = []
     best = _minimize(objective, boxes, strategy, grid_size, trace)
@@ -303,7 +282,7 @@ def _select(sample, x0, boxes, plan, grid, kernel, strategy, grid_size, support,
         seed=plan.seed,
         pilot_r=plan.pilot_r,
         pilot_s=plan.pilot_s,
-        search={"objective_evals": len(trace), "tensor_builds": tensor_builds,
+        search={"objective_evals": len(trace), "tensor_builds": batch.tensor_builds,
                 "nonfinite_evals": sum(not np.isfinite(entry[-1]) for entry in trace)},
     )
 
@@ -314,23 +293,19 @@ def select_bandwidth_1d(
     box: tuple[float, float],
     plan: ResamplingPlan,
     grid: TimeGrid,
-    kernel: KernelSpec = DEFAULT_KERNEL,
     strategy: str = "multistart",
     grid_size: int = 32,
     support: tuple[float, float] | None = None,
     resamples=None,
-    fresh_resamples: bool = False,
 ) -> BandwidthSelection:
     """Minimize the bootstrap MISE of Beran's estimator over a bandwidth interval.
 
     Strategies: "grid" evaluates `grid_size` equispaced candidates;
     "multistart" runs the deterministic mesh-and-zoom search of `_minimize`
     (16 candidates, then 12 zoom levels, no gradients) and keeps the best
-    evaluation seen.  With `fresh_resamples` each candidate draws its own
-    resample set instead of sharing one, at the cost of a noisier objective.
+    evaluation seen.
     """
-    return _select(sample, x0, (box,), plan, grid, kernel, strategy, grid_size, support,
-                   resamples, fresh_resamples)
+    return _select(sample, x0, (box,), plan, grid, strategy, grid_size, support, resamples)
 
 
 def select_bandwidth_2d(
@@ -340,12 +315,10 @@ def select_bandwidth_2d(
     box_g: tuple[float, float],
     plan: ResamplingPlan,
     grid: TimeGrid,
-    kernel: KernelSpec = DEFAULT_KERNEL,
     strategy: str = "multistart",
     grid_size: int = 20,
     support: tuple[float, float] | None = None,
     resamples=None,
-    fresh_resamples: bool = False,
 ) -> BandwidthSelection:
     """Minimize the bootstrap MISE of the smoothed estimator over a search box.
 
@@ -353,5 +326,4 @@ def select_bandwidth_2d(
     the mesh-and-zoom search of `_minimize` from a 16 x 16 mesh.  `search`
     counts the evaluations, the non-finite ones and the tensor builds.
     """
-    return _select(sample, x0, (box_h, box_g), plan, grid, kernel, strategy, grid_size, support,
-                   resamples, fresh_resamples)
+    return _select(sample, x0, (box_h, box_g), plan, grid, strategy, grid_size, support, resamples)

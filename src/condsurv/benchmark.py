@@ -34,7 +34,6 @@ from .bandwidth import (
 )
 from .dataio import _write_json
 from .estimators import _CurveBatch
-from .kernels import DEFAULT_KERNEL, KernelSpec
 from .regions import _region
 from .resampling import SCHEME_BERAN, ResamplingPlan, child_seed, resample, substream
 from .samples import TimeGrid, integrate_on_grid
@@ -153,7 +152,6 @@ def mc_mise(
     n: int,
     grid: TimeGrid,
     seed: int,
-    kernel: KernelSpec = DEFAULT_KERNEL,
 ) -> float:
     """Monte Carlo MISE of an estimator against the model truth at x0.
 
@@ -169,23 +167,23 @@ def mc_mise(
     if estimator not in ("beran", "smoothed-beran"):
         raise ValueError(f"unknown estimator: {estimator!r}")
     g = None if estimator == "beran" else float(g)
-    return _mise_function(model, grid, n_samples, n, seed, kernel)(float(h), g)
+    return _mise_function(model, grid, n_samples, n, seed)(float(h), g)
 
 
-def _mise_function(model, grid, n_samples, n, seed, kernel):
+def _mise_function(model, grid, n_samples, n, seed):
     """MISE against the model truth at x0 as a function of (h[, g]), over fixed samples (seed, j)."""
     samples = [generate_sample(model, n, substream(seed, j)) for j in range(n_samples)]
-    batch = _CurveBatch(samples, grid.points, kernel, model.support)
+    batch = _CurveBatch(samples, grid.points, model.support)
     truth = np.asarray(model.true_survival(grid.points, model.x0))
     return lambda h, g=None: _mean_integrated_sq(*batch.values(model.x0, h, g), truth, grid.cell_widths)
 
 
-def _mise_optimal(model, boxes, grid, n_samples, n, n_candidates, seed, kernel):
+def _mise_optimal(model, boxes, grid, n_samples, n, n_candidates, seed):
     """Grid search for the MISE-optimal h, or pair (h, g); returns (bandwidths, rmise).
 
     The same Monte Carlo samples are reused for every candidate.
     """
-    objective = _mise_function(model, grid, n_samples, n, seed, kernel)
+    objective = _mise_function(model, grid, n_samples, n, seed)
     *bandwidths, mise = _minimize(objective, boxes, "grid", n_candidates, [])
     return tuple(bandwidths), float(np.sqrt(mise))
 
@@ -199,10 +197,9 @@ def mise_optimal_1d(
     n: int,
     n_candidates: int,
     seed: int,
-    kernel: KernelSpec = DEFAULT_KERNEL,
 ) -> tuple[float, float]:
     """Grid search for the MISE-optimal Beran bandwidth; returns (h, rmise)."""
-    (h,), rmise = _mise_optimal(model, (box,), grid, n_samples, n, n_candidates, seed, kernel)
+    (h,), rmise = _mise_optimal(model, (box,), grid, n_samples, n, n_candidates, seed)
     return h, rmise
 
 
@@ -216,12 +213,9 @@ def mise_optimal_2d(
     n: int,
     n_candidates: int,
     seed: int,
-    kernel: KernelSpec = DEFAULT_KERNEL,
 ) -> tuple[float, float, float]:
     """Mesh search for the MISE-optimal smoothed pair; returns (h, g, rmise)."""
-    (h, g), rmise = _mise_optimal(
-        model, (box_h, box_g), grid, n_samples, n, n_candidates, seed, kernel
-    )
+    (h, g), rmise = _mise_optimal(model, (box_h, box_g), grid, n_samples, n, n_candidates, seed)
     return h, g, rmise
 
 
@@ -304,17 +298,14 @@ def _select_task(config, model, grid, boxes, j):
     sample = generate_sample(model, config.n, substream(config.seed, 0, j))
     plan = _resampling_plan(config.estimator, sample, model.pilot_c, child_seed(config.seed, 1, j),
                             config.B)
-    return _select(
-        sample, model.x0, boxes, plan, grid, DEFAULT_KERNEL, strategy=config.strategy,
-        grid_size=config.grid_size, support=model.support, resamples=None, fresh_resamples=False,
-    )
+    return _select(sample, model.x0, boxes, plan, grid, config.strategy, config.grid_size, model.support, None)
 
 
 def _region_task(config, model, grid, h, g, j):
     sample = generate_sample(model, config.n, substream(config.seed, 0, j))
     plan = _resampling_plan(config.estimator, sample, model.pilot_c, child_seed(config.seed, 1, j),
                             config.B)
-    shared = resample(sample, plan, DEFAULT_KERNEL, model.support)[0]
+    shared = resample(sample, plan, model.support)[0]
     return {
         method: _region(
             method, sample, model.x0, h, plan, grid,
@@ -385,7 +376,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     if config.mode == "bandwidth" or h is None:
         bandwidths, rmise_opt = _mise_optimal(
             model, boxes, grid, config.mise_samples, config.n, config.mise_grid,
-            child_seed(config.seed, 4), DEFAULT_KERNEL,
+            child_seed(config.seed, 4),
         )
         h, g = bandwidths if smoothed else (bandwidths[0], g)
 
@@ -397,8 +388,7 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         report.samples_completed = len(selections)
         report.h_mise, report.g_mise, report.rmise_at_optimal = h_mise, g_mise, rmise_opt
         if selections:
-            mise_at = _mise_function(model, grid, config.mise_samples, config.n,
-                                     child_seed(config.seed, 5), DEFAULT_KERNEL)
+            mise_at = _mise_function(model, grid, config.mise_samples, config.n, child_seed(config.seed, 5))
             rmise_selected = [float(np.sqrt(mise_at(s.h_star, s.g_star))) for s in selections]
             rmise_ref = float(np.sqrt(mise_at(h_mise, g_mise)))
             report.bandwidth_metrics = relative_metrics(

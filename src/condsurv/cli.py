@@ -31,7 +31,6 @@ from .errors import (
     SelectionFailedError,
 )
 from .estimators import beran_survival, kaplan_meier, smoothed_beran_survival
-from .kernels import DEFAULT_KERNEL
 from .regions import _check_alpha, _region, _region_bandwidths, write_region_csv
 from .resampling import resample
 from .samples import TimeGrid
@@ -63,6 +62,8 @@ def _float_list(text: str) -> list[float]:
     values = [float(part) for part in str(text).split(",") if part != ""]
     if not values:
         raise ValueError(f"expected comma-separated numbers, got {text!r}")
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"expected finite numbers, got {text!r}")
     return values
 
 
@@ -128,7 +129,6 @@ def build_parser() -> argparse.ArgumentParser:
     sel.add_argument("--grid-size", type=int, default=32)
     sel.add_argument("--box", type=_pair, default=None, help="covariate search interval 'low,high'")
     sel.add_argument("--box-g", type=_pair, default=None, help="time search interval 'low,high'")
-    sel.add_argument("--fresh-resamples", action="store_true", help="draw new resamples per candidate")
     sel.add_argument("--out", required=True)
 
     reg = sub.add_parser("region", help="bootstrap confidence region for the survival curve")
@@ -215,10 +215,7 @@ def _apply_config_overrides(parser: argparse.ArgumentParser, args: argparse.Name
         action = actions.get(key.replace("-", "_"))
         if action is None:
             raise ValueError(f"unknown config key {key!r} for {args.command}")
-        if action.nargs == 0:  # on/off flags such as --fresh-resamples
-            if not isinstance(value, bool):
-                raise ValueError(f"config entry {key!r} must be true or false")
-        elif isinstance(action, argparse._AppendAction):
+        if isinstance(action, argparse._AppendAction):
             value = [_config_scalar(action, v) for v in (value if isinstance(value, list) else [value])]
         else:
             value = _config_scalar(action, value)
@@ -264,7 +261,18 @@ def _x0_tag(x0: float) -> str:
     return f"{x0:g}".replace("-", "m").replace(".", "p")
 
 
+def _x0_stems(out: str, x0s) -> list[str]:
+    """The output path stem of each x0; distinct values may not share one, or one would be lost."""
+    first: dict = {}
+    for x0 in x0s:
+        other = first.setdefault(_x0_tag(x0), x0)
+        if other != x0:
+            raise ValueError(f"--x0 values {other!r} and {x0!r} share the output tag {_x0_tag(x0)!r}")
+    return [f"{out}_x{_x0_tag(x0)}" for x0 in x0s]
+
+
 def _cmd_fit(args) -> int:
+    stems = [] if args.estimator == "kaplan-meier" else _x0_stems(args.out, args.x0)
     dataset, filters = _load_dataset(args)
     sample = dataset.sample
     grid = _build_grid(args, sample)
@@ -290,12 +298,11 @@ def _cmd_fit(args) -> int:
         raise ValueError("--x0 is required for covariate-smoothing estimators")
     if args.estimator == "smoothed-beran" and args.g is None:
         raise ValueError("--g is required for the smoothed estimator")
-    for x0 in args.x0:
+    for x0, stem in zip(args.x0, stems):
         if args.estimator == "beran":
             curve = beran_survival(sample, x0, args.h, grid, support=args.support)
         else:
             curve = smoothed_beran_survival(sample, x0, args.h, args.g, grid, support=args.support)
-        stem = f"{args.out}_x{_x0_tag(x0)}"
         _write_curve_csv(f"{stem}.csv", grid, curve.values)
         _write_json(f"{stem}.json", meta_common | {"h": args.h, "g": args.g, "x0": x0})
     return EXIT_OK
@@ -303,11 +310,12 @@ def _cmd_fit(args) -> int:
 
 def _shared_resamples(sample, plan, support):
     """One resample set for every x0 of a command, and its counters for the sidecars."""
-    resamples, diagnostics = resample(sample, plan, DEFAULT_KERNEL, support)
+    resamples, diagnostics = resample(sample, plan, support)
     return resamples, asdict(diagnostics)
 
 
 def _cmd_select_bandwidth(args) -> int:
+    stems = _x0_stems(args.out, args.x0)
     dataset, filters = _load_dataset(args)
     sample = dataset.sample
     grid = _build_grid(args, sample)
@@ -316,16 +324,10 @@ def _cmd_select_bandwidth(args) -> int:
     if args.estimator == "smoothed-beran":
         boxes += (args.box_g or default_time_box(sample),)
     boxes = _validate_boxes(boxes)
-    # with --fresh-resamples every candidate draws its own set, so none is shared
-    resamples, counters = (
-        (None, None) if args.fresh_resamples else _shared_resamples(sample, plan, args.support)
-    )
-    for x0 in args.x0:
-        selection = _select(
-            sample, x0, boxes, plan, grid, DEFAULT_KERNEL, strategy=args.strategy,
-            grid_size=args.grid_size, support=args.support, resamples=resamples,
-            fresh_resamples=args.fresh_resamples,
-        )
+    resamples, counters = _shared_resamples(sample, plan, args.support)
+    for x0, stem in zip(args.x0, stems):
+        selection = _select(sample, x0, boxes, plan, grid, args.strategy, args.grid_size, args.support,
+                            resamples)
         payload = {
             "command": "select-bandwidth",
             "estimator": args.estimator,
@@ -348,11 +350,12 @@ def _cmd_select_bandwidth(args) -> int:
             "search": selection.search,
             "version": __version__,
         }
-        _write_json(f"{args.out}_x{_x0_tag(x0)}.json", payload)
+        _write_json(f"{stem}.json", payload)
     return EXIT_OK
 
 
 def _cmd_region(args) -> int:
+    stems = _x0_stems(args.out, args.x0)
     dataset, filters = _load_dataset(args)
     sample = dataset.sample
     grid = _build_grid(args, sample)
@@ -361,12 +364,11 @@ def _cmd_region(args) -> int:
     _check_alpha(args.alpha)
     resamples, counters = _shared_resamples(sample, plan, args.support)
     run_meta = {"B": args.B, "n": sample.n, "filters": filters, "resampling": counters, "version": __version__}
-    for x0 in args.x0:
+    for x0, stem in zip(args.x0, stems):
         region = _region(
             args.method, sample, x0, args.h, plan, grid, alpha=args.alpha, g=args.g,
             estimator=args.estimator, support=args.support, resamples=resamples,
         )
-        stem = f"{args.out}_x{_x0_tag(x0)}"
         write_region_csv(region, f"{stem}.csv", f"{stem}.json", extra=run_meta)
     return EXIT_OK
 

@@ -19,13 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightsError
-from .kernels import (
-    DEFAULT_KERNEL,
-    KernelSpec,
-    _mirrored,
-    integrated_kernel_fn,
-    kernel_fn,
-)
+from . import kernels
+from .kernels import _mirrored
 from .samples import SurvivalCurve, SurvivalSample, TimeGrid
 
 __all__ = ["BeranWeights", "beran_weights", "beran_survival", "kaplan_meier", "smoothed_beran_survival"]
@@ -126,7 +121,7 @@ class _CurveBatch:
     folded kernel weights, so all product-limit arrays keep the sample length.
     """
 
-    def __init__(self, samples, points, kernel: KernelSpec = DEFAULT_KERNEL, support=None):
+    def __init__(self, samples, points, support=None):
         xs = np.stack([s.x for s in samples])
         zs = np.stack([s.z for s in samples])
         ds = np.stack([s.delta for s in samples])
@@ -137,8 +132,8 @@ class _CurveBatch:
         self._x_kern = _mirrored(np.take_along_axis(xs, orders, axis=1), support)
         self._folded = support is not None
         self.points = np.asarray(points, dtype=float)
-        self._kfn = kernel_fn(kernel)
-        self._ikfn = integrated_kernel_fn(kernel)
+        self._kfn = kernels._density()
+        self._ikfn = kernels._cdf()
         self._counts = np.stack([np.searchsorted(z, self.points, side="right") for z in self.z])
         self._atoms = None
         self._h_cache: dict = {}
@@ -218,9 +213,9 @@ def _lru(cache: dict, key, build, size: int):
     return value
 
 
-def _single_curve(sample, x0, h, points, kernel, support, g=None) -> np.ndarray:
+def _single_curve(sample, x0, h, points, support, g=None) -> np.ndarray:
     """Values of one curve, evaluated as a batch of one."""
-    values, ok = _CurveBatch([sample], points, kernel, support).values(x0, h, g)
+    values, ok = _CurveBatch([sample], points, support).values(x0, h, g)
     if not ok[0]:
         raise DegenerateWeightsError(
             f"all kernel weights vanish at x0={x0!r} with bandwidth h={h!r}"
@@ -239,7 +234,6 @@ def beran_weights(
     sample: SurvivalSample,
     x0: float,
     h: float,
-    kernel: KernelSpec = DEFAULT_KERNEL,
     support: tuple[float, float] | None = None,
 ) -> BeranWeights:
     """Covariate weights w_i(x0) at bandwidth h.
@@ -253,7 +247,7 @@ def beran_weights(
         If every kernel value is zero (x0 too far from all covariates at h).
     """
     h = _validate_bandwidth(h, "h")
-    w, ok = _query_weights(_mirrored(sample.x, support)[None, :], False, float(x0), h, kernel_fn(kernel))
+    w, ok = _query_weights(_mirrored(sample.x, support)[None, :], False, float(x0), h, kernels._density())
     if not ok[0]:
         raise DegenerateWeightsError(
             f"all kernel weights vanish at x0={x0!r} with bandwidth h={h!r}"
@@ -266,7 +260,6 @@ def beran_survival(
     x0: float,
     h: float,
     grid: TimeGrid,
-    kernel: KernelSpec = DEFAULT_KERNEL,
     support: tuple[float, float] | None = None,
 ) -> SurvivalCurve:
     """Kernel-weighted product-limit estimate of S(t | x0) on a time grid.
@@ -275,7 +268,7 @@ def beran_survival(
     contribute a factor of one.
     """
     h = _validate_bandwidth(h, "h")
-    values = _single_curve(sample, x0, h, grid.points, kernel, support)
+    values = _single_curve(sample, x0, h, grid.points, support)
     return SurvivalCurve(grid=grid, values=values, estimator_tag="beran", x0=float(x0), h=h)
 
 
@@ -294,7 +287,6 @@ def smoothed_beran_survival(
     h: float,
     g: float,
     grid: TimeGrid,
-    kernel: KernelSpec = DEFAULT_KERNEL,
     support: tuple[float, float] | None = None,
 ) -> SurvivalCurve:
     """Doubly-smoothed estimate of S(t | x0): Beran jumps convolved in time.
@@ -304,7 +296,7 @@ def smoothed_beran_survival(
     """
     h = _validate_bandwidth(h, "h")
     g = _validate_bandwidth(g, "g")
-    values = _single_curve(sample, x0, h, grid.points, kernel, support, g)
+    values = _single_curve(sample, x0, h, grid.points, support, g)
     return SurvivalCurve(
         grid=grid, values=values, estimator_tag="smoothed-beran", x0=float(x0), h=h, g=g
     )

@@ -1,5 +1,9 @@
 """Truncated-Gaussian kernel primitives and covariate boundary reflection.
 
+This module fixes the one kernel, DEFAULT_KERNEL, that every estimator and
+resampler uses; the primitives that take a KernelSpec serve diagnostics and
+tests.
+
 Conventions:
   K(u)  renormalized Gaussian density on the truncation range, 0 outside
   IK(t) = integral of K over (-inf, t], clamped to 0 below the range and 1 above
@@ -129,6 +133,20 @@ def kernel_rvs(spec: KernelSpec, rng: np.random.Generator, size: int) -> np.ndar
     with np.errstate(divide="ignore"):
         t = ndtri(ndtr(low) + u * spec.mass)
     return np.clip(t, low, high)
+
+
+# The one kernel every estimator and resampler uses.  Callers bind these
+# when they run, not at import, so the kernel's dependencies load on first use.
+def _density():
+    return kernel_fn(DEFAULT_KERNEL)
+
+
+def _cdf():
+    return integrated_kernel_fn(DEFAULT_KERNEL)
+
+
+def _noise(rng: np.random.Generator, size: int) -> np.ndarray:
+    return kernel_rvs(DEFAULT_KERNEL, rng, size)
 
 
 def fold_into_support(x, support: tuple[float, float]) -> np.ndarray:

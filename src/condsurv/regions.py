@@ -21,7 +21,6 @@ from .bandwidth import _pilot_values, _resamples_or_generate
 from .dataio import _write_json
 from .errors import DegenerateVarianceError, DegenerateWeightsError, InsufficientReplicatesError
 from .estimators import _CurveBatch, _single_curve, _validate_bandwidth
-from .kernels import DEFAULT_KERNEL, KernelSpec
 from .resampling import ResamplingPlan
 from .samples import SurvivalCurve, SurvivalSample, TimeGrid, integrate_on_grid
 
@@ -172,32 +171,30 @@ def _region_bandwidths(estimator: str, h: float, g: float | None) -> tuple:
     return h, _validate_bandwidth(g, "g")
 
 
-def _region_inputs(sample, x0, h, g, plan, grid, kernel, estimator, support, resamples):
+def _region_inputs(sample, x0, h, g, plan, grid, estimator, support, resamples):
     """Pilot, bootstrap curves, centre and the time bandwidth used (None for beran)."""
     # estimator tags and resampling scheme names are the same strings
     if plan.scheme != estimator:
         raise ValueError(f"{estimator!r} regions require a {estimator!r}-scheme plan, got {plan.scheme!r}")
     h, g = _region_bandwidths(estimator, h, g)
-    resamples = _resamples_or_generate(sample, plan, kernel, support, resamples)
-    curves, ok = _CurveBatch(resamples, grid.points, kernel, support).values(x0, h, g)
+    resamples = _resamples_or_generate(sample, plan, support, resamples)
+    curves, ok = _CurveBatch(resamples, grid.points, support).values(x0, h, g)
     if not ok.all():
         raise DegenerateWeightsError("a bootstrap curve degenerated at the requested bandwidth")
-    pilot = _pilot_values(sample, x0, plan, grid.points, kernel, support)
-    center = _single_curve(sample, x0, h, grid.points, kernel, support, g)
+    pilot = _pilot_values(sample, x0, plan, grid.points, support)
+    center = _single_curve(sample, x0, h, grid.points, support, g)
     return pilot, curves, center, g
 
 
-def _region(method, sample, x0, h, plan, grid, kernel=DEFAULT_KERNEL, alpha=0.05, g=None,
-            estimator="beran", support=None, resamples=None) -> ConfidenceRegion:
+def _region(method, sample, x0, h, plan, grid, alpha=0.05, g=None, estimator="beran", support=None,
+            resamples=None) -> ConfidenceRegion:
     """Region of method 1 or 2: estimate +- lambda* scale, clamped into [0, 1].
 
     The scale is sigma* for method 1 and one for method 2.  With scale one the
     deviations are divided by one and lambda* multiplies one, both exactly, so
     method 2's lambda* is the sup-norm radius rho* of method2_radius.
     """
-    pilot, curves, center, g = _region_inputs(
-        sample, x0, h, g, plan, grid, kernel, estimator, support, resamples
-    )
+    pilot, curves, center, g = _region_inputs(sample, x0, h, g, plan, grid, estimator, support, resamples)
     sigma = bootstrap_sigma(curves) if method == 1 else None
     scale = sigma if method == 1 else np.ones(grid.n_points)
     lam = calibrate_lambda(pilot, curves, scale, alpha)
@@ -225,7 +222,6 @@ def region_method1(
     h: float,
     plan: ResamplingPlan,
     grid: TimeGrid,
-    kernel: KernelSpec = DEFAULT_KERNEL,
     alpha: float = 0.05,
     g: float | None = None,
     estimator: str = "beran",
@@ -233,7 +229,7 @@ def region_method1(
     resamples=None,
 ) -> ConfidenceRegion:
     """Variance-scaled envelope: estimate +- lambda* sigma*(t|x0), lambda* an exact order statistic."""
-    return _region(1, sample, x0, h, plan, grid, kernel, alpha, g, estimator, support, resamples)
+    return _region(1, sample, x0, h, plan, grid, alpha, g, estimator, support, resamples)
 
 
 def lp_distance(values_a, values_b, grid: TimeGrid, p) -> float:
@@ -262,7 +258,6 @@ def region_method2(
     h: float,
     plan: ResamplingPlan,
     grid: TimeGrid,
-    kernel: KernelSpec = DEFAULT_KERNEL,
     alpha: float = 0.05,
     g: float | None = None,
     estimator: str = "beran",
@@ -273,7 +268,7 @@ def region_method2(
     """Sup-norm ball region: estimate +- rho*, constant width before clamping."""
     if norm != "sup":
         raise ValueError("only the sup norm has an envelope representation")
-    return _region(2, sample, x0, h, plan, grid, kernel, alpha, g, estimator, support, resamples)
+    return _region(2, sample, x0, h, plan, grid, alpha, g, estimator, support, resamples)
 
 
 def write_region_csv(region: ConfidenceRegion, csv_path, sidecar_path=None, extra=None) -> None:

@@ -21,7 +21,8 @@ import numpy as np
 
 from .errors import DegenerateWeightsError
 from .estimators import _cdf_rows, _query_weights, _sort_order
-from .kernels import DEFAULT_KERNEL, KernelSpec, _mirrored, fold_into_support, kernel_fn, kernel_rvs
+from . import kernels
+from .kernels import _mirrored, fold_into_support
 from .samples import SurvivalSample
 
 __all__ = [
@@ -137,7 +138,7 @@ def inverse_transform_sample(cdf, u, support=None, tol: float = 1e-10):
     return vals, sat
 
 
-def _conditional_laws(sample, bandwidth, kernel, support):
+def _conditional_laws(sample, bandwidth, support):
     """The lifetime and censoring laws of a sample at one covariate bandwidth.
 
     Returns (atoms, weights, cdf_rows).  `atoms` holds the sorted times of
@@ -149,7 +150,7 @@ def _conditional_laws(sample, bandwidth, kernel, support):
     censoring law, each gathering its own column order from `w` (once when
     the orders coincide).
     """
-    x_kern, folded, kfn = _mirrored(sample.x, support), support is not None, kernel_fn(kernel)
+    x_kern, folded, kfn = _mirrored(sample.x, support), support is not None, kernels._density()
     events = (sample.delta, 1.0 - sample.delta)
     orders = [_sort_order(sample.z, e) for e in events]
     same_order = np.array_equal(*orders)
@@ -173,7 +174,6 @@ def conditional_step_law(
     sample: SurvivalSample,
     bandwidth: float,
     x0: float,
-    kernel: KernelSpec = DEFAULT_KERNEL,
     support: tuple[float, float] | None = None,
     censoring: bool = False,
 ) -> StepCDF:
@@ -182,7 +182,7 @@ def conditional_step_law(
     This is exactly the table the resampler draws from; exposed for
     diagnostics and law-level tests.
     """
-    atoms, weights, cdf_rows = _conditional_laws(sample, bandwidth, kernel, support)
+    atoms, weights, cdf_rows = _conditional_laws(sample, bandwidth, support)
     w, ok = weights(np.atleast_1d(float(x0)))
     if not ok[0]:
         raise DegenerateWeightsError(f"no kernel mass at x0={x0!r} with bandwidth {bandwidth!r}")
@@ -200,7 +200,6 @@ def _rows_inverse(cum_rows: np.ndarray, atoms: np.ndarray, u: np.ndarray):
 def resample(
     sample: SurvivalSample,
     plan: ResamplingPlan,
-    kernel: KernelSpec = DEFAULT_KERNEL,
     support: tuple[float, float] | None = None,
 ):
     """Generate plan.B bootstrap resamples of the sample.
@@ -222,7 +221,7 @@ def resample(
     """
     n = sample.n
     smoothed = plan.scheme == SCHEME_SMOOTHED
-    atoms, weights, cdf_rows = _conditional_laws(sample, plan.pilot_r, kernel, support)
+    atoms, weights, cdf_rows = _conditional_laws(sample, plan.pilot_r, support)
     # beran: both laws tabulated once at the sample covariates, rows gathered by j
     tables = None if smoothed else list(cdf_rows(weights(sample.x)[0]))
     diag = ResampleDiagnostics()
@@ -232,7 +231,7 @@ def resample(
         j = rng.integers(0, n, size=n)
         x_star = sample.x[j]
         if smoothed:
-            x_star = x_star + plan.pilot_r * kernel_rvs(kernel, rng, n)
+            x_star = x_star + plan.pilot_r * kernels._noise(rng, n)
             if support is not None:
                 x_star = fold_into_support(x_star, support)
             w, ok = weights(x_star)
@@ -250,7 +249,7 @@ def resample(
             u = rng.random(n)
             step, sat = _rows_inverse(next(rows), law_atoms, u)
             if smoothed:
-                eps = kernel_rvs(kernel, rng, n)
+                eps = kernels._noise(rng, n)
                 step = np.where(sat, step, np.maximum(0.0, step + plan.pilot_s * eps))
             times.append((step, int(sat.sum())))
         (t_star, sat_t), (c_star, sat_c) = times

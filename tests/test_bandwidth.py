@@ -21,7 +21,6 @@ from condsurv import (
 from condsurv import PilotBandwidths
 from condsurv.bandwidth import _mean_integrated_sq, _minimize, _pilot_values
 from condsurv.estimators import _CurveBatch
-from condsurv.kernels import DEFAULT_KERNEL
 from condsurv.resampling import resample
 from condsurv.errors import NoEventsError, SelectionFailedError
 
@@ -299,23 +298,28 @@ class TestSelection:
         b = select_bandwidth_1d(s, 0.5, box, plan, grid)
         assert a.h_star == b.h_star
 
-    def test_fresh_resamples_flag(self):
-        rng = np.random.default_rng(8)
-        s = random_sample(rng, 25)
-        plan = ResamplingPlan(SCHEME_BERAN, pilot_r(s, 1.5), 13, 6)
-        grid = TimeGrid.uniform(float(np.quantile(s.z, 0.9)), 15)
-        box = default_covariate_box(s)
-        a = select_bandwidth_1d(s, 0.5, box, plan, grid, strategy="grid", grid_size=9, fresh_resamples=True)
-        b = select_bandwidth_1d(s, 0.5, box, plan, grid, strategy="grid", grid_size=9, fresh_resamples=True)
-        assert a.h_star == b.h_star
-        assert box[0] <= a.h_star <= box[1]
-
     def test_selection_failed_when_pilot_far(self):
         s = SurvivalSample(x=[0.0, 1.0], z=[1.0, 2.0], delta=[1, 1])
         plan = ResamplingPlan(SCHEME_BERAN, 0.5, 0, 3)
         grid = TimeGrid([0.5, 1.5, 2.5])
         with pytest.raises(SelectionFailedError):
             select_bandwidth_1d(s, 0.5, (0.002, 0.006), plan, grid, strategy="grid", grid_size=4)
+
+    @pytest.mark.parametrize("box_h, box_g", [
+        ((0.1, np.inf), (0.05, 0.5)),
+        ((0.1, 0.5), (0.05, np.inf)),
+    ])
+    def test_search_boxes_must_be_finite(self, box_h, box_g):
+        rng = np.random.default_rng(9)
+        s = random_sample(rng, 30)
+        grid = TimeGrid.uniform(float(np.quantile(s.z, 0.9)), 10)
+        beran = ResamplingPlan(SCHEME_BERAN, pilot_r(s, 1.5), 21, 3)
+        smoothed = ResamplingPlan(SCHEME_SMOOTHED, pilot_r(s, 1.5), 21, 3, pilot_s=pilot_s(s))
+        with pytest.raises(ValueError, match="finite bounds"):
+            select_bandwidth_2d(s, 0.5, box_h, box_g, smoothed, grid, strategy="grid", grid_size=3)
+        if box_g == (0.05, 0.5):
+            with pytest.raises(ValueError, match="finite bounds"):
+                select_bandwidth_1d(s, 0.5, box_h, beran, grid, strategy="grid", grid_size=3)
 
     def test_select_2d_box_and_mesh(self):
         rng = np.random.default_rng(9)
@@ -374,7 +378,7 @@ class TestSelection:
 
     def test_trace_values_equal_fresh_batches_bit_for_bit(self):
         s, plan, grid, rs, sel = self._search_2d(9)
-        pilot = _pilot_values(s, 0.5, plan, grid.points, DEFAULT_KERNEL, None)
+        pilot = _pilot_values(s, 0.5, plan, grid.points, None)
         warm = _CurveBatch(rs, grid.points)
         for h, g, value in sel.objective_trace:
             cold_values, cold_ok = _CurveBatch(rs, grid.points).values(0.5, h, g)

@@ -154,6 +154,8 @@ class TestConfigFile:
         {"estimator": "cox"},
         {"h": [1.0]},
         {"support": True},
+        {"support": [0, float("inf")]},
+        {"x0": float("nan")},
     ])
     def test_bad_entries_exit_2_with_error_json(self, tmp_path, entries):
         code, record = self.run_fit(tmp_path, entries)
@@ -308,6 +310,44 @@ class TestFlagValidation:
             "error": "ValueError", "message": record["message"], "exit_code": 2,
         }
 
+    def test_fresh_resamples_flag_is_gone(self, tmp_path):
+        code, record, written = self.run(tmp_path, "select-bandwidth", "--x0", "0.5", "--fresh-resamples")
+        assert code == 2 and record == {
+            "error": "ValueError", "message": "unrecognized arguments: --fresh-resamples", "exit_code": 2,
+        }
+        assert written == []
+
+    @pytest.mark.parametrize("flags, bad", [
+        (("select-bandwidth", "--x0", "0.5", "--strategy", "grid", "--grid-size", "3"), ("--box", "0.1,inf")),
+        (("select-bandwidth", "--strategy", "grid", "--grid-size", "3"), ("--x0", "nan")),
+        (("select-bandwidth", "--x0", "0.5", "--estimator", "smoothed-beran", "--strategy", "grid",
+          "--grid-size", "3"), ("--box-g", "0.01,inf")),
+        (("region", "--x0", "0.5", "--h", "0.3"), ("--support", "0,inf")),
+    ])
+    def test_non_finite_list_values(self, tmp_path, flags, bad):
+        code, record, written = self.run(tmp_path, *flags, *bad)
+        assert code == 2 and record["message"].startswith(f"argument {bad[0]}: invalid")
+        assert written == []
+
+    @pytest.mark.parametrize("flags", [
+        ("fit", "--h", "0.3"),
+        ("select-bandwidth", "--seed", "3", "--B", "4"),
+        ("region", "--h", "0.3", "--seed", "3", "--B", "4"),
+    ])
+    def test_colliding_x0_tags_exit_2_before_loading(self, tmp_path, monkeypatch, flags):
+        import condsurv.cli
+
+        # 6 significant digits make one tag, so one file would hold the second curve only
+        monkeypatch.setattr(condsurv.cli, "_load_dataset", lambda args: pytest.fail("the data were loaded"))
+        err_path = tmp_path / "err.json"
+        code = main([
+            *flags, "--data", "data.csv", "--x0", "0.1234561,0.1234562",
+            "--out", str(tmp_path / "out"), "--error-json", str(err_path),
+        ])
+        record = json.loads(err_path.read_text())
+        assert code == 2 and "share the output tag '0p123456'" in record["message"]
+        assert list(tmp_path.glob("out*")) == []
+
 
 def _model_csv(tmp_path, n=60, seed=4):
     from condsurv.dataio import save_csv
@@ -364,8 +404,7 @@ class TestSharedResamples:
             "saturated_time_draws", "saturated_censoring_draws", "retried_draws"
         }
 
-    @pytest.mark.parametrize("fresh", [False, True])
-    def test_resample_calls_per_command(self, tmp_path, monkeypatch, fresh):
+    def test_resample_calls_per_command(self, tmp_path, monkeypatch):
         import condsurv.bandwidth
         import condsurv.cli
 
@@ -381,19 +420,11 @@ class TestSharedResamples:
             "select-bandwidth", "--data", data, "--estimator", "beran", "--x0", "0.4,0.6",
             "--B", "6", "--seed", "6", "--strategy", "grid", "--grid-size", "3",
             "--n-grid", "10", "--out", str(tmp_path / "sel"),
-            *(["--fresh-resamples"] if fresh else []),
         ])
         assert code == 0
         payload = json.loads((tmp_path / "sel_x0p4.json").read_text())
-        if fresh:
-            # a new set for each of the 3 candidates at each of the 2 x0 values
-            assert seeds["shared"] == []
-            assert len(seeds["per candidate"]) == 6 and 6 not in seeds["per candidate"]
-            assert len(set(seeds["per candidate"][:3])) == 3
-            assert payload["resampling"] is None
-        else:
-            assert seeds == {"shared": [6], "per candidate": []}
-            assert payload["resampling"] is not None
+        assert seeds == {"shared": [6], "per candidate": []}
+        assert payload["resampling"] is not None
 
 
 def test_import_leaves_scipy_optimize_unloaded():
@@ -481,6 +512,14 @@ class TestSimulateCommand:
 
 
 class TestBenchCommand:
+    def test_non_finite_sizes_exit_2(self, tmp_path):
+        err_path = tmp_path / "err.json"
+        code = main([
+            "bench", "--mode", "scaling", "--sizes", "30,inf", "--B", "2", "--seed", "3",
+            "--out", str(tmp_path / "scale"), "--error-json", str(err_path),
+        ])
+        assert code == 2 and "expected finite numbers" in json.loads(err_path.read_text())["message"]
+
     def test_scaling_mode(self, tmp_path):
         out = tmp_path / "scale"
         code = main([

@@ -32,7 +32,7 @@ number = st.one_of(st.sampled_from(SPECIAL), st.floats(width=32).map(str), st.in
 
 
 def run(argv, files=None):
-    """Run the CLI in a scratch directory; return the exit code and the error record."""
+    """Run the CLI in a scratch directory; return the exit code, the error record and the JSON outputs."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         for name, content in (files or {}).items():
@@ -41,12 +41,13 @@ def run(argv, files=None):
         argv = [a.replace("{tmp}", str(tmp)) for a in argv]
         code = main([*argv, "--out", str(tmp / "out"), "--error-json", str(err_path)])
         record = json.loads(err_path.read_text()) if err_path.exists() else None
+        outputs = [json.loads(path.read_text()) for path in sorted(tmp.glob("out*.json"))]
     assert code in (0, 2, 3, 4)
     if code == 0:
         assert record is None
     else:
         assert record["exit_code"] == code and record["message"]
-    return code, record
+    return code, record, outputs
 
 
 def csv_text(rows):
@@ -116,3 +117,20 @@ def test_malformed_select_bandwidth_flags(flags, estimator):
     run(["select-bandwidth", "--data", "{tmp}/data.csv", "--estimator", estimator, "--seed", "2",
          "--strategy", "grid", *[part for item in argv.items() for part in item]],
         {"data.csv": csv_text(ROWS)})
+
+
+interval = st.tuples(number, number).map(",".join)
+
+
+@SETTINGS
+@given(box=interval, box_g=interval, estimator=st.sampled_from(["beran", "smoothed-beran"]))
+def test_select_bandwidth_stays_in_its_search_boxes(box, box_g, estimator):
+    code, _, outputs = run(["select-bandwidth", "--data", "{tmp}/data.csv", "--estimator", estimator,
+                            "--seed", "2", "--strategy", "grid", "--B", "4", "--grid-size", "3",
+                            "--n-grid", "6", "--x0", "0.5", "--box", box, "--box-g", box_g],
+                           {"data.csv": csv_text(ROWS)})
+    if code == 0:
+        (selection,) = outputs
+        chosen = [selection["h_star"], selection["g_star"]][: len(selection["search_box"])]
+        for value, (low, high) in zip(chosen, selection["search_box"]):
+            assert np.isfinite(value) and low <= value <= high

@@ -166,3 +166,19 @@ def test_reflection_changes_boundary_weights_only(hand_sample):
     assert_allclose(mid, _direct_weights(sample.x, 0.5, h), atol=1e-14)
     assert_allclose(mid_reflected, _direct_weights(reflected.x, 0.5, h), atol=1e-14)
     assert np.max(np.abs(mid - mid_reflected[: sample.n])) < 1e-12
+
+
+def test_only_kernels_decides_the_kernel():
+    import inspect
+    from pathlib import Path
+
+    import condsurv
+
+    for name in condsurv.__all__:
+        obj = getattr(condsurv, name)
+        if callable(obj) and obj.__module__ != "condsurv.kernels":
+            assert "kernel" not in inspect.signature(obj).parameters, name
+    for path in sorted(Path(condsurv.__file__).parent.glob("*.py")):
+        if path.name not in ("kernels.py", "__init__.py"):
+            text = path.read_text()
+            assert "KernelSpec" not in text and "DEFAULT_KERNEL" not in text, path.name
