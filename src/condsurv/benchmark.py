@@ -34,7 +34,7 @@ from .bandwidth import (
 )
 from .dataio import _write_json
 from .estimators import _CurveBatch
-from .regions import _region
+from .regions import _check_alpha, _region
 from .resampling import SCHEME_BERAN, ResamplingPlan, child_seed, resample, substream
 from .samples import TimeGrid, integrate_on_grid
 from .simulation import SimModel, generate_sample, make_model
@@ -89,6 +89,11 @@ class BenchConfig:
             raise ValueError("mode must be 'bandwidth' or 'regions'")
         if self.estimator not in ("beran", "smoothed-beran"):
             raise ValueError("estimator must be 'beran' or 'smoothed-beran'")
+        counts = ["n_samples", "B", "mise_samples", "mise_grid"] + (["grid_size"] if self.strategy == "grid" else [])
+        for name in counts:
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
+        _check_alpha(self.alpha)
 
 
 @dataclass

@@ -3,7 +3,7 @@
 Subcommands: fit, select-bandwidth, region, simulate, bench.  All outputs are
 plot-ready CSV plus JSON metadata; nothing is plotted directly.  Exit codes:
 0 success, 2 validation failure, 3 numerical failure (degenerate weights or
-variance, no events), 4 budget exceeded.
+variance, no events, out of memory), 4 budget exceeded.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ _NUMERICAL_ERRORS = (
     NoEventsError,
     InsufficientReplicatesError,
     SelectionFailedError,
+    MemoryError,
 )
 
 
@@ -308,12 +309,6 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _shared_resamples(sample, plan, support):
-    """One resample set for every x0 of a command, and its counters for the sidecars."""
-    resamples, diagnostics = resample(sample, plan, support)
-    return resamples, asdict(diagnostics)
-
-
 def _cmd_select_bandwidth(args) -> int:
     stems = _x0_stems(args.out, args.x0)
     dataset, filters = _load_dataset(args)
@@ -324,33 +319,23 @@ def _cmd_select_bandwidth(args) -> int:
     if args.estimator == "smoothed-beran":
         boxes += (args.box_g or default_time_box(sample),)
     boxes = _validate_boxes(boxes)
-    resamples, counters = _shared_resamples(sample, plan, args.support)
+    resamples, diagnostics = resample(sample, plan, args.support)
+    run_meta = {
+        "command": "select-bandwidth",
+        "estimator": args.estimator,
+        "n": sample.n,
+        "censoring_fraction": sample.censoring_fraction,
+        "n_grid": grid.n_points,
+        "t_max": grid.t_max,
+        "strategy": args.strategy,
+        "filters": filters,
+        "resampling": asdict(diagnostics),
+        "version": __version__,
+    }
     for x0, stem in zip(args.x0, stems):
         selection = _select(sample, x0, boxes, plan, grid, args.strategy, args.grid_size, args.support,
                             resamples)
-        payload = {
-            "command": "select-bandwidth",
-            "estimator": args.estimator,
-            "x0": x0,
-            "h_star": selection.h_star,
-            "g_star": selection.g_star,
-            "pilot_r": selection.pilot_r,
-            "pilot_s": selection.pilot_s,
-            "search_box": selection.search_box,
-            "objective_trace": selection.objective_trace,
-            "B": selection.B,
-            "seed": selection.seed,
-            "n": sample.n,
-            "censoring_fraction": sample.censoring_fraction,
-            "n_grid": grid.n_points,
-            "t_max": grid.t_max,
-            "strategy": args.strategy,
-            "filters": filters,
-            "resampling": counters,
-            "search": selection.search,
-            "version": __version__,
-        }
-        _write_json(f"{stem}.json", payload)
+        _write_json(f"{stem}.json", asdict(selection) | run_meta | {"x0": x0})
     return EXIT_OK
 
 
@@ -362,8 +347,9 @@ def _cmd_region(args) -> int:
     plan = _resampling_plan(args.estimator, sample, args.c, args.seed, args.B)
     _region_bandwidths(args.estimator, args.h, args.g)
     _check_alpha(args.alpha)
-    resamples, counters = _shared_resamples(sample, plan, args.support)
-    run_meta = {"B": args.B, "n": sample.n, "filters": filters, "resampling": counters, "version": __version__}
+    resamples, diagnostics = resample(sample, plan, args.support)
+    run_meta = {"B": args.B, "n": sample.n, "filters": filters, "resampling": asdict(diagnostics),
+                "version": __version__}
     for x0, stem in zip(args.x0, stems):
         region = _region(
             args.method, sample, x0, args.h, plan, grid, alpha=args.alpha, g=args.g,

@@ -104,8 +104,9 @@ class StepCDF:
 def inverse_transform_sample(cdf, u, support=None, tol: float = 1e-10):
     """Generalized inverse inf{t : cdf(t) >= u}.
 
-    StepCDF inputs resolve by atom lookup.  Callable cdfs are inverted by
-    bisection on the support interval to absolute tolerance `tol` in t.
+    StepCDF inputs resolve by the resampler's own step-cdf inversion.
+    Callable cdfs are inverted by bisection on the support interval to
+    absolute tolerance `tol` in t.  Non-finite u raise ValueError.
 
     Returns
     -------
@@ -115,10 +116,10 @@ def inverse_transform_sample(cdf, u, support=None, tol: float = 1e-10):
     """
     scalar = np.ndim(u) == 0
     uu = np.atleast_1d(np.asarray(u, dtype=float))
+    if not np.isfinite(uu).all():
+        raise ValueError("u must be finite")
     if isinstance(cdf, StepCDF):
-        idx = np.searchsorted(cdf.cum, uu, side="left")
-        sat = uu >= cdf.cum[-1]
-        vals = np.where(sat, cdf.atoms[-1], cdf.atoms[np.minimum(idx, cdf.atoms.size - 1)])
+        vals, sat = _rows_inverse(cdf.cum[None, :], np.zeros(uu.shape, dtype=np.intp), cdf.atoms, uu)
     elif callable(cdf):
         if support is None:
             raise ValueError("a support interval is required to invert a callable cdf")
@@ -189,12 +190,19 @@ def conditional_step_law(
     return StepCDF(atoms=atoms[int(censoring)], cum=list(cdf_rows(w))[int(censoring)][0])
 
 
-def _rows_inverse(cum_rows: np.ndarray, atoms: np.ndarray, u: np.ndarray):
-    # inf{t : cdf(t) >= u} per row; u beyond the terminal mass saturates at the largest atom
-    idx = np.sum(cum_rows < u[:, None], axis=1)
-    sat = u >= cum_rows[:, -1]
-    vals = np.where(sat, atoms[-1], atoms[np.minimum(idx, atoms.size - 1)])
-    return vals, sat
+def _rows_inverse(table: np.ndarray, rows: np.ndarray, atoms: np.ndarray, u: np.ndarray):
+    # inf{t : cdf(t) >= u[i]} on the nondecreasing row table[rows[i]], by a binary search reading the
+    # table in place; u at or beyond the row's terminal value saturates at the largest atom
+    m = table.shape[1]
+    idx = np.zeros(u.shape, dtype=np.intp)  # entries known to lie below u; past m only if all do
+    step = 1 << (m.bit_length() - 1)
+    while step:
+        probe = idx + step
+        below = table[rows, np.minimum(probe, m) - 1] < u
+        idx[below] = probe[below]
+        step >>= 1
+    sat = u >= table[rows, -1]
+    return np.where(sat, atoms[-1], atoms[np.minimum(idx, m - 1)]), sat
 
 
 def resample(
@@ -222,7 +230,7 @@ def resample(
     n = sample.n
     smoothed = plan.scheme == SCHEME_SMOOTHED
     atoms, weights, cdf_rows = _conditional_laws(sample, plan.pilot_r, support)
-    # beran: both laws tabulated once at the sample covariates, rows gathered by j
+    # beran: both laws tabulated once at the sample covariates, draws read row j
     tables = None if smoothed else list(cdf_rows(weights(sample.x)[0]))
     diag = ResampleDiagnostics()
     out: list[SurvivalSample] = []
@@ -240,14 +248,14 @@ def resample(
                 diag.retried_draws += bad.size
                 x_star[bad] = sample.x[np.abs(sample.x[None, :] - x_star[bad, None]).argmin(axis=1)]
                 w[bad] = weights(x_star[bad])[0]
-            rows = cdf_rows(w)
+            laws, rows = cdf_rows(w), np.arange(n)
             del w
         else:
-            rows = (table[j] for table in tables)
+            laws, rows = iter(tables), j
         times = []
         for law_atoms in atoms:
             u = rng.random(n)
-            step, sat = _rows_inverse(next(rows), law_atoms, u)
+            step, sat = _rows_inverse(next(laws), rows, law_atoms, u)
             if smoothed:
                 eps = kernels._noise(rng, n)
                 step = np.where(sat, step, np.maximum(0.0, step + plan.pilot_s * eps))

@@ -270,3 +270,22 @@ class TestScaling:
         assert set(out["timings_seconds"]) == {40, 80}
         assert "80/40" in out["ratios"]
         assert all(v > 0 for v in out["timings_seconds"].values())
+
+
+@pytest.mark.parametrize("entries, field", [
+    ({"n_samples": 0}, "n_samples"),
+    ({"B": 0}, "B"),
+    ({"mise_samples": 0}, "mise_samples"),
+    ({"mise_grid": -1}, "mise_grid"),
+    ({"strategy": "grid", "grid_size": 0}, "grid_size"),
+    ({"alpha": 0.0}, "alpha"),
+    ({"alpha": 1.5}, "alpha"),
+    ({"alpha": float("nan")}, "alpha"),
+])
+def test_config_counts_and_alpha_are_checked(entries, field):
+    with pytest.raises(ValueError, match=f"^{field} must"):
+        BenchConfig(**entries)
+
+
+def test_grid_size_is_unused_by_the_multistart_search():
+    BenchConfig(strategy="multistart", grid_size=0)

@@ -529,3 +529,51 @@ class TestBenchCommand:
         assert code == 0
         timings = json.loads((out / "timings.json").read_text())
         assert set(timings["timings_seconds"]) == {"30", "60"}
+
+
+class TestSimulateCountsCheckedFirst:
+    """Bad counts and α exit 2 with the record before any sample is drawn."""
+
+    BASE = ["--n", "30", "--B", "3", "--n-grid", "6", "--mise-samples", "2", "--mise-grid", "3",
+            "--strategy", "grid", "--grid-size", "3", "--seed", "1"]
+
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    @pytest.mark.parametrize("flags, field", [
+        (["--n-samples", "0"], "n_samples"),
+        (["--mise-samples", "0"], "mise_samples"),
+        (["--mise-grid", "0"], "mise_grid"),
+        (["--B", "0"], "B"),
+        (["--mode", "regions", "--alpha", "1.5"], "alpha"),
+    ])
+    def test_exit_2_before_any_draw(self, tmp_path, monkeypatch, command, flags, field):
+        import condsurv.benchmark
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("a sample was drawn before the configuration was checked")
+
+        monkeypatch.setattr(condsurv.benchmark, "generate_sample", no_draw)
+        err_path = tmp_path / "err.json"
+        code = main([command, *self.BASE, *flags, "--out", str(tmp_path / "s"),
+                     "--error-json", str(err_path)])
+        record = json.loads(err_path.read_text())
+        assert code == 2 and record["exit_code"] == 2
+        assert record["message"].startswith(f"{field} must")
+        assert not (tmp_path / "s").exists()
+
+
+def test_memory_error_exits_3_with_the_record(tmp_path, monkeypatch):
+    import condsurv.cli
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 2.98 GiB for an array with shape (20000, 20000)")
+
+    monkeypatch.setattr(condsurv.cli, "resample", out_of_memory)
+    err_path = tmp_path / "err.json"
+    code = main([
+        "region", "--data", _model_csv(tmp_path), "--estimator", "beran", "--x0", "0.5", "--h", "0.2",
+        "--B", "4", "--seed", "1", "--out", str(tmp_path / "r"), "--error-json", str(err_path),
+    ])
+    record = json.loads(err_path.read_text())
+    assert code == 3
+    assert record == {"error": "MemoryError", "exit_code": 3,
+                      "message": "Unable to allocate 2.98 GiB for an array with shape (20000, 20000)"}

@@ -368,3 +368,80 @@ def test_beran_scheme_matches_reference_bit_for_bit(tied, support):
         np.testing.assert_array_equal(rs.x, x)
         np.testing.assert_array_equal(rs.z, z)
         np.testing.assert_array_equal(rs.delta, delta)
+
+
+def _plateau_table(rng, n_rows, m):
+    """Nondecreasing rows in [0, 1] with plateaus, values repeated across rows and a short terminal."""
+    steps = rng.integers(0, 3, size=(n_rows, m)) * rng.choice([0.0, 0.125, 0.3], size=(n_rows, 1))
+    table = np.minimum(np.cumsum(steps, axis=1) / max(m, 1), 1.0)
+    table[rng.random(n_rows) < 0.3] *= 0.9  # some rows end below one, so draws saturate
+    return table
+
+
+def _counted_below(table, rows, atoms, u):
+    """The two formulas the inversion replaced: a compare-and-sum and a per-row searchsorted."""
+    by_sum = np.sum(table[rows] < u[:, None], axis=1)
+    by_search = np.array([np.searchsorted(table[r], ui, side="left") for r, ui in zip(rows, u)], dtype=np.intp)
+    np.testing.assert_array_equal(by_sum, by_search)
+    sat = u >= table[rows, -1]
+    return np.where(sat, atoms[-1], atoms[np.minimum(by_sum, atoms.size - 1)]), sat
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 9, 64, 150])
+def test_rows_inverse_matches_the_formulas_it_replaces(m):
+    from condsurv.resampling import _rows_inverse
+
+    rng = np.random.default_rng(m)
+    n_rows = 12
+    table = _plateau_table(rng, n_rows, m)
+    atoms = np.sort(rng.random(m)) + np.arange(m)  # distinct, so each count maps to its own atom
+    rows = np.concatenate([np.repeat(rng.integers(0, n_rows), 5), rng.integers(0, n_rows, 200)])
+    u = rng.random(rows.size)
+    # u on table entries (ties with plateaus), at zero, at and above the terminal value
+    u[:60] = table[rows[:60], rng.integers(0, m, 60)]
+    u[60:70] = 0.0
+    u[70:80] = table[rows[70:80], -1]
+    u[80:85] = np.nextafter(table[rows[80:85], -1], 2.0)
+    u[85:90] = 1.0
+    vals, sat = _rows_inverse(table, rows, atoms, u)
+    expected_vals, expected_sat = _counted_below(table, rows, atoms, u)
+    np.testing.assert_array_equal(vals, expected_vals)
+    np.testing.assert_array_equal(sat, expected_sat)
+    assert sat.any() and not sat.all()
+
+
+def test_rows_inverse_on_product_limit_rows():
+    from condsurv.estimators import _cdf_rows
+    from condsurv.resampling import _rows_inverse
+
+    rng = np.random.default_rng(31)
+    n = 40
+    w = rng.random((n, n)) ** 8
+    w /= w.sum(axis=1, keepdims=True)
+    delta = (rng.random(n) < 0.6).astype(float)
+    table = _cdf_rows(w, delta)
+    assert np.all(np.diff(table, axis=1) >= 0.0)
+    atoms = np.sort(rng.exponential(1.0, n))
+    rows = rng.integers(0, n, 5000)
+    u = rng.random(rows.size)
+    for got, expected in zip(_rows_inverse(table, rows, atoms, u), _counted_below(table, rows, atoms, u)):
+        np.testing.assert_array_equal(got, expected)
+
+
+def test_step_inverse_matches_searchsorted_on_ties():
+    cdf = StepCDF(atoms=[1.0, 2.0, 2.5, 3.0, 4.0, 5.0], cum=[0.2, 0.2, 0.5, 0.5, 0.5, 0.9])
+    u = np.array([0.0, 0.1, 0.2, 0.3, 0.5, 0.6, 0.9, 0.95, 1.0])
+    values, sat = inverse_transform_sample(cdf, u)
+    idx = np.minimum(np.searchsorted(cdf.cum, u, side="left"), cdf.atoms.size - 1)
+    np.testing.assert_array_equal(values, np.where(u >= 0.9, 5.0, cdf.atoms[idx]))
+    np.testing.assert_array_equal(sat, u >= 0.9)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("as_array", [False, True])
+def test_inverse_transform_rejects_non_finite_u(bad, as_array):
+    u = np.array([0.3, bad]) if as_array else bad
+    with pytest.raises(ValueError, match="finite"):
+        inverse_transform_sample(StepCDF(atoms=[1.0, 2.0], cum=[0.4, 1.0]), u)
+    with pytest.raises(ValueError, match="finite"):
+        inverse_transform_sample(lambda t: np.clip(t, 0.0, 1.0), u, support=(0.0, 1.0))
