@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import csv
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from functools import partial
 from pathlib import Path
@@ -89,7 +88,7 @@ class BenchConfig:
             raise ValueError("mode must be 'bandwidth' or 'regions'")
         if self.estimator not in ("beran", "smoothed-beran"):
             raise ValueError("estimator must be 'beran' or 'smoothed-beran'")
-        counts = ["n_samples", "B", "mise_samples", "mise_grid"] + (["grid_size"] if self.strategy == "grid" else [])
+        counts = ["n_samples", "B", "mise_samples", "mise_grid", "workers"] + (["grid_size"] if self.strategy == "grid" else [])
         for name in counts:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
@@ -330,6 +329,8 @@ def _map_with_budget(fn, n_tasks: int, workers: int, deadline: float | None):
                 break
             results.append(fn(j))
         return results, incomplete
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=workers) as pool:
         futures = [pool.submit(fn, j) for j in range(n_tasks)]
         for j, fut in enumerate(futures):

@@ -133,7 +133,6 @@ class _CurveBatch:
         self._folded = support is not None
         self.points = np.asarray(points, dtype=float)
         self._kfn = kernels._density()
-        self._ikfn = kernels._cdf()
         self._counts = np.stack([np.searchsorted(z, self.points, side="right") for z in self.z])
         self._atoms = None
         self._h_cache: dict = {}
@@ -195,6 +194,7 @@ class _CurveBatch:
         self._event_idx = event_idx
         self._starts = starts
         self._atoms = atoms
+        self._ikfn = kernels._cdf()
         self._tensor_slots = int(np.clip(_TENSOR_CACHE_BYTES // (8 * atoms.size * self.points.size), 1, _TENSOR_SLOTS))
 
     def _ik_tensor(self, g: float) -> np.ndarray:

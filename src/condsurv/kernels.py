@@ -10,14 +10,16 @@ Conventions:
 
 With the default (-50, 50) range the truncation mass is exactly 1.0 in double
 precision, so K and IK coincide bit-for-bit with the untruncated normal pdf/cdf.
+scipy.special is imported only by the primitives that evaluate a cdf or draw
+noise, so the density-only paths never load it.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .samples import SurvivalSample
 
@@ -34,6 +36,11 @@ __all__ = [
 ]
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+def _phi(x: float) -> float:
+    """Standard normal cdf of one scalar; exactly 0.0 at -50 and 1.0 at 50, as ndtr."""
+    return 0.5 * math.erfc(-x / math.sqrt(2.0))
 
 
 @dataclass(frozen=True)
@@ -54,7 +61,7 @@ class KernelSpec:
     def mass(self) -> float:
         """Gaussian probability mass inside the truncation range."""
         low, high = self.truncation_range
-        return float(ndtr(high) - ndtr(low))
+        return _phi(high) - _phi(low)
 
 
 DEFAULT_KERNEL = KernelSpec()
@@ -77,6 +84,8 @@ def eval_kernel(spec: KernelSpec, u) -> float | np.ndarray:
 
 def eval_integrated_kernel(spec: KernelSpec, t) -> float | np.ndarray:
     """Kernel distribution function at t, clamped to 0/1 outside the range."""
+    from scipy.special import ndtr
+
     tt = np.asarray(t, dtype=float)
     low, high = spec.truncation_range
     core = (ndtr(tt) - ndtr(low)) / spec.mass
@@ -86,7 +95,7 @@ def eval_integrated_kernel(spec: KernelSpec, t) -> float | np.ndarray:
 
 def _is_effectively_untruncated(spec: KernelSpec) -> bool:
     low, high = spec.truncation_range
-    return spec.mass == 1.0 and ndtr(low) == 0.0 and ndtr(high) == 1.0
+    return spec.mass == 1.0 and _phi(low) == 0.0 and _phi(high) == 1.0
 
 
 def _gaussian_density(u, out=None):
@@ -121,6 +130,8 @@ def kernel_fn(spec: KernelSpec):
 
 def integrated_kernel_fn(spec: KernelSpec):
     """Vectorized cdf closure; scipy's ndtr when truncation is numerically inert."""
+    from scipy.special import ndtr
+
     if _is_effectively_untruncated(spec):
         return ndtr
     return lambda t: eval_integrated_kernel(spec, np.asarray(t, dtype=float))
@@ -128,6 +139,8 @@ def integrated_kernel_fn(spec: KernelSpec):
 
 def kernel_rvs(spec: KernelSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     """Inverse-transform draws from the kernel density."""
+    from scipy.special import ndtr, ndtri
+
     low, high = spec.truncation_range
     u = rng.random(size)
     with np.errstate(divide="ignore"):

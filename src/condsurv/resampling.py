@@ -97,8 +97,9 @@ class StepCDF:
             raise ValueError("atoms and cum must be nonempty and equally long")
         if np.any(np.diff(atoms) < 0.0) or np.any(np.diff(cum) < -1e-12):
             raise ValueError("atoms and cum must be nondecreasing")
+        # the tolerated dips are clipped, so the inversion is the generalized inverse
         object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "cum", cum)
+        object.__setattr__(self, "cum", np.maximum.accumulate(cum))
 
 
 def inverse_transform_sample(cdf, u, support=None, tol: float = 1e-10):

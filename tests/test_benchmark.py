@@ -289,3 +289,9 @@ def test_config_counts_and_alpha_are_checked(entries, field):
 
 def test_grid_size_is_unused_by_the_multistart_search():
     BenchConfig(strategy="multistart", grid_size=0)
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_config_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
+        BenchConfig(workers=workers)

@@ -577,3 +577,87 @@ def test_memory_error_exits_3_with_the_record(tmp_path, monkeypatch):
     assert code == 3
     assert record == {"error": "MemoryError", "exit_code": 3,
                       "message": "Unable to allocate 2.98 GiB for an array with shape (20000, 20000)"}
+
+
+def _fresh_python(args, cwd=None):
+    """Run `python args...` in a new interpreter that imports this checkout of condsurv."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import condsurv
+
+    src = str(Path(condsurv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True)
+
+
+LAZY_MODULES = ("scipy.special", "concurrent.futures.process")
+
+
+def test_import_leaves_scipy_special_and_the_process_pool_unloaded():
+    code = f"import sys, condsurv; print([m in sys.modules for m in {LAZY_MODULES!r}])"
+    proc = _fresh_python(["-c", code])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[False, False]"
+
+
+def test_version_leaves_scipy_special_and_the_process_pool_unloaded():
+    proc = _fresh_python(["-X", "importtime", "-m", "condsurv", "--version"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("condsurv ")
+    imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
+    assert "condsurv.cli" in imported
+    assert not imported & set(LAZY_MODULES)
+
+
+def _loads_scipy_special(tmp_path, argv):
+    code = f"import sys; from condsurv.cli import main; print(main({argv!r}), 'scipy.special' in sys.modules)"
+    proc = _fresh_python(["-c", code], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    exit_code, loaded = proc.stdout.split()
+    assert exit_code == "0"
+    return loaded == "True"
+
+
+@pytest.mark.parametrize("command", [
+    ["fit", "--estimator", "beran", "--x0", "0.5", "--h", "0.3"],
+    ["select-bandwidth", "--estimator", "beran", "--x0", "0.5", "--B", "4", "--seed", "2",
+     "--strategy", "grid", "--grid-size", "3"],
+    ["region", "--method", "1", "--estimator", "beran", "--x0", "0.5", "--h", "0.3", "--B", "8", "--seed", "2"],
+], ids=["fit", "select-bandwidth", "region"])
+def test_beran_commands_leave_scipy_special_unloaded(tmp_path, command):
+    argv = [command[0], "--data", _model_csv(tmp_path), *command[1:], "--n-grid", "8", "--out", str(tmp_path / "o")]
+    assert not _loads_scipy_special(tmp_path, argv)
+
+
+def test_beran_simulate_leaves_scipy_special_unloaded(tmp_path):
+    argv = ["simulate", "--estimator", "beran", "--workers", "1", *TestSimulateCountsCheckedFirst.BASE,
+            "--n-samples", "1", "--out", str(tmp_path / "s")]
+    assert not _loads_scipy_special(tmp_path, argv)
+    assert json.loads((tmp_path / "s" / "report.json").read_text())["samples_completed"] == 1
+
+
+def test_smoothed_fit_loads_scipy_special(tmp_path):
+    argv = ["fit", "--data", _model_csv(tmp_path), "--estimator", "smoothed-beran", "--x0", "0.5",
+            "--h", "0.3", "--g", "0.2", "--n-grid", "8", "--out", str(tmp_path / "o")]
+    assert _loads_scipy_special(tmp_path, argv)
+
+
+@pytest.mark.parametrize("command", ["simulate", "bench"])
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_simulate_rejects_fewer_than_one_worker(tmp_path, monkeypatch, command, workers):
+    import condsurv.benchmark
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn before the configuration was checked")
+
+    monkeypatch.setattr(condsurv.benchmark, "generate_sample", no_draw)
+    err_path = tmp_path / "err.json"
+    code = main([command, *TestSimulateCountsCheckedFirst.BASE, "--n-samples", "1", "--workers", workers,
+                 "--out", str(tmp_path / "s"), "--error-json", str(err_path)])
+    record = json.loads(err_path.read_text())
+    assert code == 2 and record["exit_code"] == 2
+    assert record["message"] == f"workers must be at least 1, got {int(workers)!r}"
+    assert not (tmp_path / "s").exists()

@@ -182,3 +182,39 @@ def test_only_kernels_decides_the_kernel():
         if path.name not in ("kernels.py", "__init__.py"):
             text = path.read_text()
             assert "KernelSpec" not in text and "DEFAULT_KERNEL" not in text, path.name
+
+
+def test_scalar_cdf_agrees_with_scipy_ndtr():
+    import scipy.special
+
+    from condsurv.kernels import _gaussian_density, _is_effectively_untruncated, _phi
+
+    assert _phi(-50.0) == scipy.special.ndtr(-50.0) == 0.0
+    assert _phi(50.0) == scipy.special.ndtr(50.0) == 1.0
+    assert DEFAULT_KERNEL.mass == float(scipy.special.ndtr(50.0) - scipy.special.ndtr(-50.0)) == 1.0
+    assert _is_effectively_untruncated(DEFAULT_KERNEL)
+    assert integrated_kernel_fn(DEFAULT_KERNEL) is scipy.special.ndtr
+    assert kernel_fn(DEFAULT_KERNEL) is _gaussian_density
+
+
+@pytest.mark.parametrize("low, high", [(-2.0, 2.0), (-1.0, 3.0), (-6.0, 1.5), (0.0, 40.0), (2.0, 5.0)])
+def test_truncated_mass_is_within_4_ulp_of_scipy(low, high):
+    import scipy.special
+
+    from condsurv.kernels import _is_effectively_untruncated
+
+    spec = KernelSpec(truncation_range=(low, high))
+    reference = float(scipy.special.ndtr(high) - scipy.special.ndtr(low))
+    assert abs(spec.mass - reference) <= 4 * np.spacing(reference)
+    assert not _is_effectively_untruncated(spec)
+
+
+def test_truncated_mass_differs_from_scipy_only_by_cancellation():
+    # a narrow range is a difference of two close cdf values, so its error is
+    # measured in ulps of the cdf values in [0.5, 1), not of the mass itself
+    import scipy.special
+
+    rng = np.random.default_rng(3)
+    for low, high in np.sort(rng.uniform(-8.0, 8.0, (2000, 2)), axis=1):
+        reference = float(scipy.special.ndtr(high) - scipy.special.ndtr(low))
+        assert abs(KernelSpec(truncation_range=(low, high)).mass - reference) <= 4 * np.spacing(0.5)

@@ -445,3 +445,10 @@ def test_inverse_transform_rejects_non_finite_u(bad, as_array):
         inverse_transform_sample(StepCDF(atoms=[1.0, 2.0], cum=[0.4, 1.0]), u)
     with pytest.raises(ValueError, match="finite"):
         inverse_transform_sample(lambda t: np.clip(t, 0.0, 1.0), u, support=(0.0, 1.0))
+
+
+def test_step_inverse_is_the_generalized_inverse_on_a_tolerated_dip():
+    # cum may dip by up to 1e-12; inf{t : F(t) >= u} is still the first atom
+    cdf = StepCDF(atoms=[1.0, 2.0, 3.0], cum=[0.5, 0.5 - 1e-13, 1.0])
+    assert inverse_transform_sample(cdf, 0.5 - 5e-14) == (1.0, False)
+    np.testing.assert_array_equal(cdf.cum, [0.5, 0.5, 1.0])
