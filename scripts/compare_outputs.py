@@ -6,7 +6,9 @@
 SRC_A and SRC_B are checkouts, each holding ``src/condsurv``.  For every seed
 and workload of ``perfbench/workloads.py`` the input CSV files are generated
 once, with SRC_A's sources, and the workload's full-scale commands run once
-against each tree.  Every output file is then
+against each tree.  The commands of ``EXTRA`` follow, on model1 samples large
+enough that the resampler builds its laws in several row blocks under both
+schemes (the benchmark's smoothed inputs fit in one).  Every output file is then
 compared: the script prints whether its bytes are equal and, when they are
 not, the largest |difference| over its numbers (CSV cells and JSON numbers)
 with the place where it occurs, every top-level JSON number that moved, and
@@ -32,8 +34,16 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SKIPPED = {"timings.json"}
+# name: (sample size, censoring, subcommand, flags besides --data, --seed, --support, --n-grid, --out)
+EXTRA = {
+    "smoothed-region-1600": (1600, 0.2, "region", ("--method", "1", "--estimator", "smoothed-beran",
+                                                   "--x0", "0.5", "--h", "0.15", "--g", "0.08", "--B", "10")),
+    "beran-select-4000": (4000, 0.2, "select-bandwidth", ("--estimator", "beran", "--x0", "0.5", "--B", "8")),
+}
 
 
 def _json_deltas(a, b, path: str, deltas: dict, mismatched: list) -> None:
@@ -131,6 +141,19 @@ def run_commands(tree: Path, cmds, out_dir: Path) -> list[str]:
     return failures
 
 
+def extra_job(name: str, seed: int, directory: Path, workloads):
+    """The input CSV and the one command of an EXTRA entry, generated from the seed."""
+    from condsurv.dataio import save_csv
+    from condsurv.simulation import generate_sample, make_model
+
+    n, censoring, sub, flags = EXTRA[name]
+    csv_path = str(directory / f"{name}.csv")
+    save_csv(generate_sample(make_model("model1", censoring), n, np.random.default_rng([seed, n])), csv_path)
+    args = ("--data", csv_path, *flags, "--seed", str(workloads.program_seed(seed, n)),
+            "--support", workloads.SUPPORT_FLAG, "--n-grid", str(workloads.N_GRID))
+    return [workloads.Command(sub, args, name)]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("src_a", type=Path)
@@ -147,13 +170,15 @@ def main(argv=None) -> int:
     compared = identical = failed = 0
     with tempfile.TemporaryDirectory() as tmp:
         for seed in (int(s) for s in args.seeds.split(",")):
-            for name in workloads.PARAMS:
+            for name in [*workloads.PARAMS, *EXTRA]:
                 base = Path(tmp) / f"{name}-{seed}"
                 dirs = [base / "a", base / "b"]
                 for d in dirs:
                     d.mkdir(parents=True)
-                csvs = workloads.make_inputs(name, "full", seed, base)
-                cmds = workloads.commands(name, "full", seed, csvs)
+                if name in EXTRA:
+                    cmds = extra_job(name, seed, base, workloads)
+                else:
+                    cmds = workloads.commands(name, "full", seed, workloads.make_inputs(name, "full", seed, base))
                 failures = [f for tree, d in zip(trees, dirs) for f in run_commands(tree, cmds, d)]
                 for failure in failures:
                     print(f"seed {seed} {name}: FAILED {failure}")

@@ -266,7 +266,9 @@ def _select(sample, x0, boxes, plan, grid, strategy, grid_size, support, resampl
     boxes = _validate_boxes(boxes)
     pilot = _pilot_values(sample, x0, plan, grid.points, support)
     widths = grid.cell_widths
-    batch = _CurveBatch(_resamples_or_generate(sample, plan, support, resamples), grid.points, support)
+    # a grid search sweeps every h of its axis once per g, so the jump-mass cache holds the whole axis
+    h_slots = grid_size if strategy == "grid" else 0
+    batch = _CurveBatch(_resamples_or_generate(sample, plan, support, resamples), grid.points, support, h_slots)
 
     def objective(*bandwidths) -> float:
         return _mean_integrated_sq(*batch.values(x0, *bandwidths), pilot, widths)

@@ -27,9 +27,10 @@ __all__ = ["BeranWeights", "beran_weights", "beran_survival", "kaplan_meier", "s
 
 _AT_RISK_EPS = 1e-12
 # _CurveBatch cache bounds.  With g as the outer loop (bandwidth._minimize)
-# the jump masses hold a whole h axis of the default 32-point grid, and the
-# tensors a 16-point coarse mesh plus the two new g of a zoom level.  Tensors
-# past the byte budget are rebuilt instead (one is always kept).
+# the jump masses hold a whole h axis of the default 32-point grid (a search
+# over a longer h axis sizes the cache from it), and the tensors a 16-point
+# coarse mesh plus the two new g of a zoom level.  Tensors past the byte
+# budget are rebuilt instead (one is always kept).
 _H_CACHE_SIZE = 32
 _TENSOR_SLOTS = 18
 _TENSOR_CACHE_BYTES = 64 << 20
@@ -73,15 +74,24 @@ def _query_weights(x_kern: np.ndarray, folded: bool, queries, h: float, kfn):
     return k, ok
 
 
-def _product_limit_rows(w: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _at_risk_rows(w: np.ndarray) -> np.ndarray:
+    """The at-risk mass 1 - (cumsum(w) - w) before each sorted observation."""
+    at_risk = np.cumsum(w, axis=1)
+    at_risk -= w
+    return np.subtract(1.0, at_risk, out=at_risk)
+
+
+def _product_limit_rows(w: np.ndarray, d: np.ndarray, at_risk: np.ndarray | None = None) -> np.ndarray:
     """Survival values after each sorted observation, one row per sample.
 
     Each step writes into one of two buffers owned here (`w` is not
     modified), so no array of the full size is allocated per operation.
+    A given `at_risk` (from `_at_risk_rows(w)`) is clamped in place; the
+    clamp keeps every value's side of the threshold, so the same array
+    serves another law with the same weights and the same column order.
     """
-    at_risk = np.cumsum(w, axis=1)
-    at_risk -= w
-    np.subtract(1.0, at_risk, out=at_risk)
+    if at_risk is None:
+        at_risk = _at_risk_rows(w)
     factors = np.multiply(w, d)  # the event mass, until it becomes the factor
     # clamping the denominator avoids subnormal divisions; with the clip it
     # yields factor 0 whenever the at-risk mass is negligible but the event
@@ -96,9 +106,9 @@ def _product_limit_rows(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     return np.cumprod(factors, axis=1, out=factors)
 
 
-def _cdf_rows(w: np.ndarray, d: np.ndarray) -> np.ndarray:
+def _cdf_rows(w: np.ndarray, d: np.ndarray, at_risk: np.ndarray | None = None) -> np.ndarray:
     """One minus the product-limit rows: the step cdf after each sorted observation."""
-    surv = _product_limit_rows(w, d)
+    surv = _product_limit_rows(w, d, at_risk)
     return np.subtract(1.0, surv, out=surv)
 
 
@@ -119,9 +129,11 @@ class _CurveBatch:
     that does not depend on the bandwidths (grid step positions, distinct
     jump locations) is precomputed.  Boundary reflection enters through
     folded kernel weights, so all product-limit arrays keep the sample length.
+    The jump-mass cache holds `h_slots` bandwidths h, and never fewer than
+    _H_CACHE_SIZE.
     """
 
-    def __init__(self, samples, points, support=None):
+    def __init__(self, samples, points, support=None, h_slots=_H_CACHE_SIZE):
         xs = np.stack([s.x for s in samples])
         zs = np.stack([s.z for s in samples])
         ds = np.stack([s.delta for s in samples])
@@ -136,6 +148,7 @@ class _CurveBatch:
         self._counts = np.stack([np.searchsorted(z, self.points, side="right") for z in self.z])
         self._atoms = None
         self._h_cache: dict = {}
+        self._h_slots = max(_H_CACHE_SIZE, h_slots)
         self._ik_cache: dict = {}
         self.tensor_builds = 0
 
@@ -149,7 +162,7 @@ class _CurveBatch:
         if g is None:
             w, ok = _query_weights(self._x_kern, self._folded, float(x0), h, self._kfn)
             return self._grid_values(w), ok
-        ok, agg = _lru(self._h_cache, (float(x0), float(h)), lambda: self._jump_masses(x0, h), _H_CACHE_SIZE)
+        ok, agg = _lru(self._h_cache, (float(x0), float(h)), lambda: self._jump_masses(x0, h), self._h_slots)
         tensor = _lru(self._ik_cache, float(g), lambda: self._ik_tensor(g), self._tensor_slots)
         vals = 1.0 - np.einsum("ktu,ku->kt", tensor, agg)
         np.clip(vals, 0.0, 1.0, out=vals)

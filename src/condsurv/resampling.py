@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightsError
-from .estimators import _cdf_rows, _query_weights, _sort_order
+from .estimators import _at_risk_rows, _cdf_rows, _query_weights, _sort_order
 from . import kernels
 from .kernels import _mirrored, fold_into_support
 from .samples import SurvivalSample
@@ -39,6 +39,8 @@ __all__ = [
 
 SCHEME_BERAN = "beran"
 SCHEME_SMOOTHED = "smoothed-beran"
+# kernel-weight bytes per block of query rows; the laws are built one block at a time
+_BLOCK_BYTES = 1 << 20
 
 
 def substream(seed: int, *path: int) -> np.random.Generator:
@@ -143,33 +145,47 @@ def inverse_transform_sample(cdf, u, support=None, tol: float = 1e-10):
 def _conditional_laws(sample, bandwidth, support):
     """The lifetime and censoring laws of a sample at one covariate bandwidth.
 
-    Returns (atoms, weights, cdf_rows).  `atoms` holds the sorted times of
+    Returns (atoms, block_rows, laws).  `atoms` holds the sorted times of
     each law: ascending z, that law's events first at ties, so the two orders
-    differ only where an event and a censoring share a time.
-    `weights(queries)` gives one kernel-weight matrix per query set,
-    normalized in the sample's column order, and the rows with kernel mass.
-    `cdf_rows(w)` yields the cdf rows of the lifetime law, then of the
-    censoring law, each gathering its own column order from `w` (once when
-    the orders coincide).
+    differ only where an event and a censoring share a time.  `laws(block,
+    diag)` gives the lifetime and the censoring cdf rows at a block of query
+    covariates; blocks of `block_rows` queries hold about _BLOCK_BYTES of
+    kernel weights.  A query with no kernel mass raises
+    DegenerateWeightsError, or, when `diag` is given, moves in place to the
+    nearest sample covariate and counts as a retried draw.  Every step is
+    row-wise, so a row does not depend on the block it is in.
     """
     x_kern, folded, kfn = _mirrored(sample.x, support), support is not None, kernels._density()
     events = (sample.delta, 1.0 - sample.delta)
     orders = [_sort_order(sample.z, e) for e in events]
+    events = [e[order] for e, order in zip(events, orders)]
     same_order = np.array_equal(*orders)
 
     def weights(queries):
         return _query_weights(x_kern, folded, queries[:, None], bandwidth, kfn)
 
-    def cdf_rows(w):
+    def laws(block, diag=None):
+        w, ok = weights(block)
+        if not ok.all():
+            bad = np.flatnonzero(~ok)
+            if diag is None:
+                raise DegenerateWeightsError(
+                    f"no kernel mass at x0={float(block[bad[0]])!r} with bandwidth {bandwidth!r}"
+                )
+            diag.retried_draws += bad.size
+            block[bad] = sample.x[np.abs(sample.x[None, :] - block[bad, None]).argmin(axis=1)]
+            w[bad] = weights(block[bad])[0]
         ordered = np.take(w, orders[0], axis=1)
-        yield _cdf_rows(ordered, events[0][orders[0]])
+        # with one column order the two laws share the weights and their at-risk mass
+        at_risk = _at_risk_rows(ordered) if same_order else None
+        lifetime = _cdf_rows(ordered, events[0], at_risk)
         if not same_order:
             ordered = np.take(w, orders[1], axis=1)
-        # a caller that passes its only reference keeps one gather alive at a time
         del w
-        yield _cdf_rows(ordered, events[1][orders[1]])
+        return lifetime, _cdf_rows(ordered, events[1], at_risk)
 
-    return [sample.z[order] for order in orders], weights, cdf_rows
+    block_rows = max(1, _BLOCK_BYTES // (8 * x_kern.size))
+    return [sample.z[order] for order in orders], block_rows, laws
 
 
 def conditional_step_law(
@@ -181,14 +197,11 @@ def conditional_step_law(
 ) -> StepCDF:
     """Estimated conditional step law of T (or C when `censoring`) at x0.
 
-    This is exactly the table the resampler draws from; exposed for
-    diagnostics and law-level tests.
+    This is exactly the table the resampler draws from, as a block of one
+    row; exposed for diagnostics and law-level tests.
     """
-    atoms, weights, cdf_rows = _conditional_laws(sample, bandwidth, support)
-    w, ok = weights(np.atleast_1d(float(x0)))
-    if not ok[0]:
-        raise DegenerateWeightsError(f"no kernel mass at x0={x0!r} with bandwidth {bandwidth!r}")
-    return StepCDF(atoms=atoms[int(censoring)], cum=list(cdf_rows(w))[int(censoring)][0])
+    atoms, _, laws = _conditional_laws(sample, bandwidth, support)
+    return StepCDF(atoms=atoms[int(censoring)], cum=laws(np.atleast_1d(float(x0)))[int(censoring)][0])
 
 
 def _rows_inverse(table: np.ndarray, rows: np.ndarray, atoms: np.ndarray, u: np.ndarray):
@@ -223,46 +236,59 @@ def resample(
     mass saturate at the largest observed time.  All counts are reported in
     the returned diagnostics.
 
+    Every replicate draws first; the laws are then built in row blocks, so
+    memory grows with the block size times n plus B times n, not with n².
+
     Returns
     -------
     (samples, diagnostics)
         `samples` is a list of plan.B SurvivalSample objects of size n.
     """
-    n = sample.n
+    n, B = sample.n, plan.B
     smoothed = plan.scheme == SCHEME_SMOOTHED
-    atoms, weights, cdf_rows = _conditional_laws(sample, plan.pilot_r, support)
-    # beran: both laws tabulated once at the sample covariates, draws read row j
-    tables = None if smoothed else list(cdf_rows(weights(sample.x)[0]))
-    diag = ResampleDiagnostics()
-    out: list[SurvivalSample] = []
-    for k in range(plan.B):
-        rng = substream(plan.seed, k)
-        j = rng.integers(0, n, size=n)
-        x_star = sample.x[j]
+    # every replicate draws first, in its stream's order; replicate k holds entries k*n to (k+1)*n - 1
+    j = np.empty(B * n, dtype=np.int64)
+    x_star = np.empty(B * n)
+    u = np.empty((2, B * n))  # the lifetime, then the censoring law's uniforms and noise
+    eps = np.empty((2, B * n)) if smoothed else None
+    for k in range(B):
+        rng, rep = substream(plan.seed, k), slice(k * n, (k + 1) * n)
+        j[rep] = rng.integers(0, n, size=n)
+        x_star[rep] = sample.x[j[rep]]
         if smoothed:
-            x_star = x_star + plan.pilot_r * kernels._noise(rng, n)
-            if support is not None:
-                x_star = fold_into_support(x_star, support)
-            w, ok = weights(x_star)
-            if not ok.all():
-                bad = np.flatnonzero(~ok)
-                diag.retried_draws += bad.size
-                x_star[bad] = sample.x[np.abs(sample.x[None, :] - x_star[bad, None]).argmin(axis=1)]
-                w[bad] = weights(x_star[bad])[0]
-            laws, rows = cdf_rows(w), np.arange(n)
-            del w
-        else:
-            laws, rows = iter(tables), j
-        times = []
-        for law_atoms in atoms:
-            u = rng.random(n)
-            step, sat = _rows_inverse(next(laws), rows, law_atoms, u)
+            x_star[rep] += plan.pilot_r * kernels._noise(rng, n)
+        for law in range(2):
+            u[law, rep] = rng.random(n)
             if smoothed:
-                eps = kernels._noise(rng, n)
-                step = np.where(sat, step, np.maximum(0.0, step + plan.pilot_s * eps))
-            times.append((step, int(sat.sum())))
-        (t_star, sat_t), (c_star, sat_c) = times
-        diag.saturated_time_draws += sat_t
-        diag.saturated_censoring_draws += sat_c
-        out.append(SurvivalSample(x=x_star, z=np.minimum(t_star, c_star), delta=(t_star <= c_star).astype(float)))
-    return out, diag
+                eps[law, rep] = kernels._noise(rng, n)
+    diag = ResampleDiagnostics()
+    if smoothed:
+        if support is not None:
+            x_star = fold_into_support(x_star, support)
+        # each draw's own covariate is its query row; retries move it in x_star
+        queries, rows, retry = x_star, np.arange(B * n), diag
+    else:
+        # both laws at the sample covariates, draw i reading row j[i]
+        queries, rows, retry = sample.x, j, None
+    # the block loop: draws sorted by row once, each block's laws invert the draws that read its rows
+    atoms, block_rows, laws = _conditional_laws(sample, plan.pilot_r, support)
+    order = np.argsort(rows, kind="stable")
+    sorted_rows = rows[order]
+    times = [(np.empty(B * n), np.empty(B * n, dtype=bool)) for _ in atoms]
+    for lo in range(0, queries.size, block_rows):
+        hi = min(lo + block_rows, queries.size)
+        first, last = np.searchsorted(sorted_rows, (lo, hi))
+        draws, local = order[first:last], sorted_rows[first:last] - lo
+        # the block's tables live only in the comprehension, so they are freed before the next block
+        inverted = [_rows_inverse(table, local, law_atoms, law_u[draws])
+                    for table, law_atoms, law_u in zip(laws(queries[lo:hi], retry), atoms, u)]
+        for (step, sat), (block_step, block_sat) in zip(times, inverted):
+            step[draws], sat[draws] = block_step, block_sat
+    if smoothed:
+        times = [(np.where(sat, step, np.maximum(0.0, step + plan.pilot_s * e)), sat)
+                 for (step, sat), e in zip(times, eps)]
+    (t_star, sat_t), (c_star, sat_c) = times
+    diag.saturated_time_draws, diag.saturated_censoring_draws = int(sat_t.sum()), int(sat_c.sum())
+    z, delta = np.minimum(t_star, c_star), (t_star <= c_star).astype(float)
+    return [SurvivalSample(x=x_star[k * n:(k + 1) * n], z=z[k * n:(k + 1) * n], delta=delta[k * n:(k + 1) * n])
+            for k in range(B)], diag

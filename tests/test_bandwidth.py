@@ -371,6 +371,27 @@ class TestSelection:
         # one computation per grid h, plus the pilot curve's at pilot_r
         assert sorted(calls) == sorted([*(float(h) for h in np.linspace(*box_h, 32)), plan.pilot_r])
 
+    def test_2d_grid_beyond_the_default_cache_computes_each_h_once(self, monkeypatch):
+        # a 33-point h axis does not fit the default 32-entry jump-mass cache
+        calls = []
+        original = _CurveBatch._jump_masses
+
+        def counted(batch, x0, h):
+            calls.append((x0, h))
+            return original(batch, x0, h)
+
+        monkeypatch.setattr(_CurveBatch, "_jump_masses", counted)
+        rng = np.random.default_rng(9)
+        s = random_sample(rng, 30)
+        plan = ResamplingPlan(SCHEME_SMOOTHED, pilot_r(s, 1.5), 21, 4, pilot_s=pilot_s(s))
+        grid = TimeGrid.uniform(float(np.quantile(s.z, 0.9)), 20)
+        box_h = default_covariate_box(s)
+        sel = select_bandwidth_2d(s, 0.5, box_h, default_time_box(s), plan, grid, strategy="grid",
+                                  grid_size=33)
+        assert len(sel.objective_trace) == 33 * 33
+        assert len(calls) == len(set(calls))
+        assert sorted(h for _, h in calls) == sorted([*(float(h) for h in np.linspace(*box_h, 33)), plan.pilot_r])
+
     def test_trace_values_equal_fresh_batches_bit_for_bit(self):
         s, plan, grid, rs, sel = self._search_2d(9)
         pilot = _pilot_values(s, 0.5, plan, grid.points, None)

@@ -452,3 +452,125 @@ def test_step_inverse_is_the_generalized_inverse_on_a_tolerated_dip():
     cdf = StepCDF(atoms=[1.0, 2.0, 3.0], cum=[0.5, 0.5 - 1e-13, 1.0])
     assert inverse_transform_sample(cdf, 0.5 - 5e-14) == (1.0, False)
     np.testing.assert_array_equal(cdf.cum, [0.5, 0.5, 1.0])
+
+
+def _block_budget(monkeypatch, sample, support, rows):
+    """Shrink the resampler's block budget to `rows` query rows of kernel weights."""
+    from condsurv import resampling
+
+    width = sample.n * (3 if support is not None else 1)
+    monkeypatch.setattr(resampling, "_BLOCK_BYTES", 8 * width * rows)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 64])
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("support", [None, (0.0, 1.0)])
+def test_beran_scheme_matches_reference_in_small_blocks(monkeypatch, rows, tied, support):
+    # 150 rows in blocks of 1, 7 (last block of 3) and 64 (last block of 22)
+    model = make_model("model1", 0.5)
+    _block_budget(monkeypatch, generate_sample(model, 150, 21), support, rows)
+    test_beran_scheme_matches_reference_bit_for_bit(tied, support)
+
+
+def test_beran_draws_land_in_every_block():
+    # the draws of the reference test reach every block of 7 rows, so every block inverts some draws
+    from condsurv import pilot_r
+
+    model = make_model("model1", 0.5)
+    sample = generate_sample(model, 150, 21)
+    plan = ResamplingPlan(SCHEME_BERAN, pilot_r(sample, model.pilot_c), 4, 20)
+    j = np.concatenate([substream(plan.seed, k).integers(0, sample.n, size=sample.n) for k in range(plan.B)])
+    assert np.unique(j // 7).size == -(-sample.n // 7)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 50])
+@pytest.mark.parametrize("tied", [False, True])
+def test_smoothed_scheme_matches_reference_in_small_blocks(monkeypatch, rows, tied):
+    # 15 replicates of 120 draws: blocks of 7 and 50 rows straddle replicates
+    model = make_model("model1", 0.5)
+    _block_budget(monkeypatch, generate_sample(model, 120, 12), model.support, rows)
+    test_smoothed_scheme_matches_reference_bit_for_bit(tied)
+
+
+@pytest.mark.parametrize("rows", [1, 7, 33])
+def test_retries_inside_small_blocks(monkeypatch, rows):
+    # covariate noise pushed far outside the sample leaves rows with no kernel mass; each is retried
+    # at the nearest sample covariate, in whichever block it falls, with the draws of one block
+    from condsurv import kernels, pilot_r, pilot_s
+
+    original = kernels._noise
+    calls = []
+
+    def far_noise(rng, size):
+        noise = original(rng, size)
+        if len(calls) % 3 == 0:  # the covariate noise comes first in each replicate
+            noise[::9] = np.where(noise[::9] < 0.0, -1e3, 1e3)
+        calls.append(size)
+        return noise
+
+    monkeypatch.setattr(kernels, "_noise", far_noise)
+    model = make_model("model1", 0.5)
+    sample = generate_sample(model, 100, 8)
+    plan = ResamplingPlan(SCHEME_SMOOTHED, pilot_r(sample, model.pilot_c), 5, 6, pilot_s=pilot_s(sample))
+    whole, whole_diag = resample(sample, plan)
+    calls.clear()
+    _block_budget(monkeypatch, sample, None, rows)
+    blocked, diag = resample(sample, plan)
+    assert diag == whole_diag
+    assert diag.retried_draws == plan.B * len(range(0, sample.n, 9))
+    for a, b in zip(whole, blocked, strict=True):
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.z, b.z)
+        np.testing.assert_array_equal(a.delta, b.delta)
+        assert set(b.x[::9]) <= {sample.x.min(), sample.x.max()}
+    # the retried rows draw from the laws at their new covariates; rows left without weights would saturate
+    retried_z = np.concatenate([b.z[::9] for b in blocked])
+    assert np.mean(retried_z == sample.z.max()) < 0.5
+
+
+@pytest.mark.parametrize("tied", [False, True])
+@pytest.mark.parametrize("support", [None, (0.0, 1.0)])
+def test_laws_equal_separate_cdf_rows(tied, support):
+    # with one column order the laws share their at-risk mass; both must equal their own _cdf_rows
+    from condsurv.estimators import _cdf_rows, _sort_order
+    from condsurv.kernels import _mirrored
+    from condsurv.resampling import _conditional_laws
+
+    model = make_model("model1", 0.5)
+    sample = generate_sample(model, 90, 3)
+    if tied:
+        sample = SurvivalSample(x=sample.x, z=np.round(sample.z, 1), delta=sample.delta)
+    events = (sample.delta, 1.0 - sample.delta)
+    orders = [_sort_order(sample.z, e) for e in events]
+    assert np.array_equal(*orders) is not tied
+    w, ok = reference_query_weights(_mirrored(sample.x, support), support is not None, sample.x[:, None], 0.1)
+    assert ok.all()
+    _, _, laws = _conditional_laws(sample, 0.1, support)
+    for law, e, order in zip(laws(sample.x), events, orders, strict=True):
+        np.testing.assert_array_equal(law, _cdf_rows(w[:, order], e[order]))
+
+
+def test_step_law_without_kernel_mass_raises():
+    from condsurv.errors import DegenerateWeightsError
+
+    sample = random_sample(np.random.default_rng(4), 20)
+    with pytest.raises(DegenerateWeightsError, match="no kernel mass"):
+        conditional_step_law(sample, 0.01, 50.0)
+
+
+def test_beran_resample_memory_is_bounded():
+    # one n x 3n weight matrix would take 96 MB here; the row blocks need a few
+    import tracemalloc
+
+    from condsurv import pilot_r
+
+    model = make_model("model1", 0.2)
+    sample = generate_sample(model, 2000, 5)
+    plan = ResamplingPlan(SCHEME_BERAN, pilot_r(sample, model.pilot_c), 1, 2)
+    tracemalloc.start()
+    try:
+        resample(sample, plan, support=model.support)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 * 2**20
