@@ -141,8 +141,9 @@ def run_commands(tree: Path, cmds, out_dir: Path) -> list[str]:
     return failures
 
 
-def extra_job(name: str, seed: int, directory: Path, workloads):
+def extra_job(name: str, seed: int, directory: Path):
     """The input CSV and the one command of an EXTRA entry, generated from the seed."""
+    import workloads
     from condsurv.dataio import save_csv
     from condsurv.simulation import generate_sample, make_model
 
@@ -176,7 +177,7 @@ def main(argv=None) -> int:
                 for d in dirs:
                     d.mkdir(parents=True)
                 if name in EXTRA:
-                    cmds = extra_job(name, seed, base, workloads)
+                    cmds = extra_job(name, seed, base)
                 else:
                     cmds = workloads.commands(name, "full", seed, workloads.make_inputs(name, "full", seed, base))
                 failures = [f for tree, d in zip(trees, dirs) for f in run_commands(tree, cmds, d)]

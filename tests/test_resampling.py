@@ -468,19 +468,12 @@ def _block_budget(monkeypatch, sample, support, rows):
 def test_beran_scheme_matches_reference_in_small_blocks(monkeypatch, rows, tied, support):
     # 150 rows in blocks of 1, 7 (last block of 3) and 64 (last block of 22)
     model = make_model("model1", 0.5)
-    _block_budget(monkeypatch, generate_sample(model, 150, 21), support, rows)
-    test_beran_scheme_matches_reference_bit_for_bit(tied, support)
-
-
-def test_beran_draws_land_in_every_block():
-    # the draws of the reference test reach every block of 7 rows, so every block inverts some draws
-    from condsurv import pilot_r
-
-    model = make_model("model1", 0.5)
     sample = generate_sample(model, 150, 21)
-    plan = ResamplingPlan(SCHEME_BERAN, pilot_r(sample, model.pilot_c), 4, 20)
-    j = np.concatenate([substream(plan.seed, k).integers(0, sample.n, size=sample.n) for k in range(plan.B)])
-    assert np.unique(j // 7).size == -(-sample.n // 7)
+    _block_budget(monkeypatch, sample, support, rows)
+    test_beran_scheme_matches_reference_bit_for_bit(tied, support)
+    # the reference test's row draws (seed 4, B=20) land in every block, so every block inverts some
+    j = np.concatenate([substream(4, k).integers(0, sample.n, size=sample.n) for k in range(20)])
+    assert np.unique(j // rows).size == -(-sample.n // rows)
 
 
 @pytest.mark.parametrize("rows", [1, 7, 50])
@@ -495,7 +488,7 @@ def test_smoothed_scheme_matches_reference_in_small_blocks(monkeypatch, rows, ti
 @pytest.mark.parametrize("rows", [1, 7, 33])
 def test_retries_inside_small_blocks(monkeypatch, rows):
     # covariate noise pushed far outside the sample leaves rows with no kernel mass; each is retried
-    # at the nearest sample covariate, in whichever block it falls, with the draws of one block
+    # at the nearest sample covariate inside the block it falls in, whatever the block size
     from condsurv import kernels, pilot_r, pilot_s
 
     original = kernels._noise
