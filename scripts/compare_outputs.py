@@ -6,9 +6,11 @@
 SRC_A and SRC_B are checkouts, each holding ``src/condsurv``.  For every seed
 and workload of ``perfbench/workloads.py`` the input CSV files are generated
 once, with SRC_A's sources, and the workload's full-scale commands run once
-against each tree.  The commands of ``EXTRA`` follow, on model1 samples large
-enough that the resampler builds its laws in several row blocks under both
-schemes (the benchmark's smoothed inputs fit in one).  Every output file is then
+against each tree.  The commands of ``EXTRA`` follow: two on model1 samples
+large enough that the resampler builds its laws in several row blocks under
+both schemes (the benchmark's smoothed inputs fit in one), and one small
+smoothed region study, ``simulate --mode regions``, which reads no data file
+and covers the benchmark module's region path.  Every output file is then
 compared: the script prints whether its bytes are equal and, when they are
 not, the largest |difference| over its numbers (CSV cells and JSON numbers)
 with the place where it occurs, every top-level JSON number that moved, and
@@ -38,11 +40,13 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SKIPPED = {"timings.json"}
-# name: (sample size, censoring, subcommand, flags besides --data, --seed, --support, --n-grid, --out)
+# name: (subcommand, flags besides --seed and --out, (sample size, censoring) of its --data CSV or None)
 EXTRA = {
-    "smoothed-region-1600": (1600, 0.2, "region", ("--method", "1", "--estimator", "smoothed-beran",
-                                                   "--x0", "0.5", "--h", "0.15", "--g", "0.08", "--B", "10")),
-    "beran-select-4000": (4000, 0.2, "select-bandwidth", ("--estimator", "beran", "--x0", "0.5", "--B", "8")),
+    "smoothed-region-1600": ("region", ("--method", "1", "--estimator", "smoothed-beran", "--x0", "0.5",
+                                        "--h", "0.15", "--g", "0.08", "--B", "10"), (1600, 0.2)),
+    "beran-select-4000": ("select-bandwidth", ("--estimator", "beran", "--x0", "0.5", "--B", "8"), (4000, 0.2)),
+    "smoothed-region-study": ("simulate", ("--mode", "regions", "--estimator", "smoothed-beran", "--n", "80",
+                                           "--n-samples", "2", "--B", "10", "--h", "0.2", "--g", "0.1"), None),
 }
 
 
@@ -142,16 +146,18 @@ def run_commands(tree: Path, cmds, out_dir: Path) -> list[str]:
 
 
 def extra_job(name: str, seed: int, directory: Path):
-    """The input CSV and the one command of an EXTRA entry, generated from the seed."""
+    """The one command of an EXTRA entry, with its input CSV generated from the seed when it reads one."""
     import workloads
     from condsurv.dataio import save_csv
     from condsurv.simulation import generate_sample, make_model
 
-    n, censoring, sub, flags = EXTRA[name]
-    csv_path = str(directory / f"{name}.csv")
-    save_csv(generate_sample(make_model("model1", censoring), n, np.random.default_rng([seed, n])), csv_path)
-    args = ("--data", csv_path, *flags, "--seed", str(workloads.program_seed(seed, n)),
-            "--support", workloads.SUPPORT_FLAG, "--n-grid", str(workloads.N_GRID))
+    sub, flags, data = EXTRA[name]
+    args = (*flags, "--seed", str(workloads.program_seed(seed, data[0] if data else 0)))
+    if data is not None:
+        n, censoring = data
+        csv_path = str(directory / f"{name}.csv")
+        save_csv(generate_sample(make_model("model1", censoring), n, np.random.default_rng([seed, n])), csv_path)
+        args += ("--data", csv_path, "--support", workloads.SUPPORT_FLAG, "--n-grid", str(workloads.N_GRID))
     return [workloads.Command(sub, args, name)]
 
 

@@ -11,7 +11,6 @@ from .kernels import (
     DEFAULT_KERNEL,
     eval_kernel,
     eval_integrated_kernel,
-    reflect_covariates,
 )
 from .estimators import (
     BeranWeights,
@@ -33,10 +32,8 @@ from .resampling import (
 )
 from .bandwidth import (
     BandwidthSelection,
-    PilotBandwidths,
     bootstrap_mise_1d,
     bootstrap_mise_2d,
-    bootstrap_mse_pointwise,
     default_covariate_box,
     default_time_box,
     pilot_r,
@@ -83,7 +80,6 @@ __all__ = [
     "DEFAULT_KERNEL",
     "eval_kernel",
     "eval_integrated_kernel",
-    "reflect_covariates",
     "BeranWeights",
     "beran_weights",
     "beran_survival",
@@ -99,10 +95,8 @@ __all__ = [
     "resample",
     "substream",
     "BandwidthSelection",
-    "PilotBandwidths",
     "bootstrap_mise_1d",
     "bootstrap_mise_2d",
-    "bootstrap_mse_pointwise",
     "default_covariate_box",
     "default_time_box",
     "pilot_r",

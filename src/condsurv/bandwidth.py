@@ -20,7 +20,6 @@ from .resampling import SCHEME_BERAN, SCHEME_SMOOTHED, ResamplingPlan, resample
 from .samples import SurvivalSample, TimeGrid
 
 __all__ = [
-    "PilotBandwidths",
     "BandwidthSelection",
     "pilot_r",
     "pilot_s",
@@ -28,7 +27,6 @@ __all__ = [
     "default_time_box",
     "bootstrap_mise_1d",
     "bootstrap_mise_2d",
-    "bootstrap_mse_pointwise",
     "select_bandwidth_1d",
     "select_bandwidth_2d",
 ]
@@ -36,19 +34,6 @@ __all__ = [
 # mesh-and-zoom search: coarse points per axis, then levels that each halve the cell
 _COARSE_POINTS = 16
 _ZOOM_LEVELS = 12
-
-
-@dataclass(frozen=True)
-class PilotBandwidths:
-    """Rule-of-thumb bandwidths used only inside resampling."""
-
-    r: float
-    s: float
-    c: float = 1.5
-
-    def __post_init__(self):
-        if not (self.r > 0.0 and self.s > 0.0):
-            raise ValueError("pilot bandwidths must be positive")
 
 
 @dataclass(frozen=True)
@@ -142,14 +127,14 @@ def _pilot_values(sample, x0, plan, points, support):
     return _single_curve(sample, x0, plan.pilot_r, points, support, g)
 
 
-def _bootstrap_mise(name, sample, x0, bandwidths, plan, points, widths, support, resamples) -> float:
-    """Resample mean of sum_t widths * (curve - pilot)^2 over the time points."""
-    _check_scheme(plan, len(bandwidths), name)
+def _bootstrap_mise(sample, x0, bandwidths, plan, grid, support, resamples) -> float:
+    """Resample mean of the grid Riemann sum of (curve - pilot)^2."""
+    _check_scheme(plan, len(bandwidths), f"bootstrap_mise_{len(bandwidths)}d")
     rs = _resamples_or_generate(sample, plan, support, resamples)
-    batch = _CurveBatch(rs, points, support)
-    pilot = _pilot_values(sample, x0, plan, points, support)
+    batch = _CurveBatch(rs, grid.points, support)
+    pilot = _pilot_values(sample, x0, plan, grid.points, support)
     values, ok = batch.values(x0, *(float(b) for b in bandwidths))
-    return _mean_integrated_sq(values, ok, pilot, widths)
+    return _mean_integrated_sq(values, ok, pilot, grid.cell_widths)
 
 
 def bootstrap_mise_1d(
@@ -166,8 +151,7 @@ def bootstrap_mise_1d(
     Averages the grid Riemann sum of (bootstrap curve - pilot curve)^2 over
     the plan's resamples; +inf when the weights at x0 degenerate for this h.
     """
-    return _bootstrap_mise("bootstrap_mise_1d", sample, x0, (h,), plan, grid.points,
-                           grid.cell_widths, support, resamples)
+    return _bootstrap_mise(sample, x0, (h,), plan, grid, support, resamples)
 
 
 def bootstrap_mise_2d(
@@ -181,22 +165,7 @@ def bootstrap_mise_2d(
     resamples=None,
 ) -> float:
     """Bootstrap MISE of the smoothed estimator at the candidate pair (h, g)."""
-    return _bootstrap_mise("bootstrap_mise_2d", sample, x0, (h, g), plan, grid.points,
-                           grid.cell_widths, support, resamples)
-
-
-def bootstrap_mse_pointwise(
-    sample: SurvivalSample,
-    x0: float,
-    t0: float,
-    h: float,
-    plan: ResamplingPlan,
-    support: tuple[float, float] | None = None,
-    resamples=None,
-) -> float:
-    """Bootstrap mean squared error at a single time point t0."""
-    return _bootstrap_mise("bootstrap_mse_pointwise", sample, x0, (h,), plan, np.asarray([float(t0)]),
-                           np.ones(1), support, resamples)
+    return _bootstrap_mise(sample, x0, (h, g), plan, grid, support, resamples)
 
 
 def _validate_boxes(boxes) -> tuple:

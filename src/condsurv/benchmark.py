@@ -51,7 +51,6 @@ __all__ = [
     "region_metrics",
     "run_benchmark",
     "write_report",
-    "time_bandwidth_selection",
     "scaling_study",
 ]
 
@@ -93,6 +92,9 @@ class BenchConfig:
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)!r}")
         _check_alpha(self.alpha)
+        # inf sets no limit; nan fails the comparison, so it is rejected too
+        if self.budget_seconds is not None and not self.budget_seconds > 0.0:
+            raise ValueError(f"budget_seconds must be positive, got {self.budget_seconds!r}")
 
 
 @dataclass
@@ -148,7 +150,7 @@ class BenchReport:
 
 def mc_mise(
     model: SimModel,
-    estimator,
+    estimator: str,
     h: float | None = None,
     g: float | None = None,
     *,
@@ -159,15 +161,9 @@ def mc_mise(
 ) -> float:
     """Monte Carlo MISE of an estimator against the model truth at x0.
 
-    `estimator` is "beran", "smoothed-beran", or a callable mapping
-    (sample, grid) to curve values (used to check the harness itself).
-    Fresh samples are drawn from streams (seed, j).
+    `estimator` is "beran" or "smoothed-beran".  Fresh samples are drawn
+    from streams (seed, j).
     """
-    if callable(estimator):
-        truth = np.asarray(model.true_survival(grid.points, model.x0))
-        samples = (generate_sample(model, n, substream(seed, j)) for j in range(n_samples))
-        integrals = [integrate_on_grid((np.asarray(estimator(s, grid)) - truth) ** 2, grid) for s in samples]
-        return float(np.mean(integrals))
     if estimator not in ("beran", "smoothed-beran"):
         raise ValueError(f"unknown estimator: {estimator!r}")
     g = None if estimator == "beran" else float(g)
@@ -470,31 +466,29 @@ def write_report(report: BenchReport, out_dir) -> None:
                 writer.writerow(row)
 
 
-def time_bandwidth_selection(
+def scaling_study(
     model: SimModel,
-    n: int,
+    sizes,
     B: int,
     seed: int,
     n_grid: int = 100,
     strategy: str = "grid",
     grid_size: int = 16,
-) -> float:
-    """Wall-clock seconds for one full bandwidth selection at sample size n."""
-    sample = generate_sample(model, n, substream(seed, 0, 0))
+) -> dict:
+    """Wall-clock seconds of one 1-D bandwidth selection per sample size.
+
+    Cost grows superlinearly in n.
+    """
     grid = TimeGrid.uniform(model.t_max, n_grid)
-    plan = ResamplingPlan(SCHEME_BERAN, pilot_r(sample, model.pilot_c), child_seed(seed, 1, 0), B)
-    box = default_covariate_box(sample)
-    start = time.perf_counter()
-    select_bandwidth_1d(
-        sample, model.x0, box, plan, grid,
-        strategy=strategy, grid_size=grid_size, support=model.support,
-    )
-    return time.perf_counter() - start
-
-
-def scaling_study(model: SimModel, sizes, B: int, seed: int, **kwargs) -> dict:
-    """Selection timings across sample sizes; cost grows superlinearly in n."""
-    timings = {int(n): time_bandwidth_selection(model, int(n), B, seed, **kwargs) for n in sizes}
+    timings = {}
+    for n in sizes:
+        sample = generate_sample(model, int(n), substream(seed, 0, 0))
+        plan = ResamplingPlan(SCHEME_BERAN, pilot_r(sample, model.pilot_c), child_seed(seed, 1, 0), B)
+        box = default_covariate_box(sample)
+        start = time.perf_counter()
+        select_bandwidth_1d(sample, model.x0, box, plan, grid, strategy=strategy, grid_size=grid_size,
+                            support=model.support)
+        timings[int(n)] = time.perf_counter() - start
     sizes = sorted(timings)
     ratios = {
         f"{sizes[i + 1]}/{sizes[i]}": timings[sizes[i + 1]] / timings[sizes[i]]

@@ -9,7 +9,8 @@ Conventions:
   IK(t) = integral of K over (-inf, t], clamped to 0 below the range and 1 above
 
 With the default (-50, 50) range the truncation mass is exactly 1.0 in double
-precision, so K and IK coincide bit-for-bit with the untruncated normal pdf/cdf.
+precision, so K and IK coincide bit-for-bit with the untruncated normal pdf/cdf,
+which is what the estimators and the resampler evaluate.
 scipy.special is imported only by the primitives that evaluate a cdf or draw
 noise, so the density-only paths never load it.
 """
@@ -21,18 +22,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .samples import SurvivalSample
-
 __all__ = [
     "KernelSpec",
     "DEFAULT_KERNEL",
     "eval_kernel",
     "eval_integrated_kernel",
-    "kernel_fn",
-    "integrated_kernel_fn",
     "kernel_rvs",
     "fold_into_support",
-    "reflect_covariates",
 ]
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -93,11 +89,6 @@ def eval_integrated_kernel(spec: KernelSpec, t) -> float | np.ndarray:
     return _scalar_like(out, t)
 
 
-def _is_effectively_untruncated(spec: KernelSpec) -> bool:
-    low, high = spec.truncation_range
-    return spec.mass == 1.0 and _phi(low) == 0.0 and _phi(high) == 1.0
-
-
 def _gaussian_density(u, out=None):
     # exp(-u^2/2)/sqrt(2 pi) evaluated in one buffer; `out` may be u itself
     if out is None:
@@ -107,34 +98,6 @@ def _gaussian_density(u, out=None):
     np.exp(out, out=out)
     out *= _INV_SQRT_2PI
     return out if out.ndim else out[()]
-
-
-def kernel_fn(spec: KernelSpec):
-    """Vectorized density closure ``f(u, out=None)``; plain Gaussian when truncation is inert.
-
-    The result is written into `out` when one is given (it may be `u`
-    itself); otherwise `u` is left untouched.
-    """
-    if _is_effectively_untruncated(spec):
-        return _gaussian_density
-
-    def density(u, out=None):
-        dens = eval_kernel(spec, np.asarray(u, dtype=float))
-        if out is None:
-            return dens
-        out[...] = dens
-        return out
-
-    return density
-
-
-def integrated_kernel_fn(spec: KernelSpec):
-    """Vectorized cdf closure; scipy's ndtr when truncation is numerically inert."""
-    from scipy.special import ndtr
-
-    if _is_effectively_untruncated(spec):
-        return ndtr
-    return lambda t: eval_integrated_kernel(spec, np.asarray(t, dtype=float))
 
 
 def kernel_rvs(spec: KernelSpec, rng: np.random.Generator, size: int) -> np.ndarray:
@@ -151,11 +114,13 @@ def kernel_rvs(spec: KernelSpec, rng: np.random.Generator, size: int) -> np.ndar
 # The one kernel every estimator and resampler uses.  Callers bind these
 # when they run, not at import, so the kernel's dependencies load on first use.
 def _density():
-    return kernel_fn(DEFAULT_KERNEL)
+    return _gaussian_density
 
 
 def _cdf():
-    return integrated_kernel_fn(DEFAULT_KERNEL)
+    from scipy.special import ndtr
+
+    return ndtr
 
 
 def _noise(rng: np.random.Generator, size: int) -> np.ndarray:
@@ -185,14 +150,3 @@ def _mirrored(x, support) -> np.ndarray:
     if np.any(x < a) or np.any(x > b):
         raise ValueError("all covariates must lie inside the declared support")
     return np.concatenate([x, 2.0 * a - x, 2.0 * b - x], axis=-1)
-
-
-def reflect_covariates(sample: SurvivalSample, support: tuple[float, float]) -> SurvivalSample:
-    """Augment a sample with covariate reflections across both support endpoints.
-
-    Each point contributes two mirror images, X -> 2a - X and X -> 2b - X, with
-    (Z, delta) duplicated.  Used inside covariate-weight computation to correct
-    kernel boundary bias.
-    """
-    x_aug = _mirrored(sample.x, support)
-    return SurvivalSample(x=x_aug, z=np.tile(sample.z, 3), delta=np.tile(sample.delta, 3))

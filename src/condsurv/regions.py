@@ -22,7 +22,7 @@ from .dataio import _write_json
 from .errors import DegenerateVarianceError, DegenerateWeightsError, InsufficientReplicatesError
 from .estimators import _CurveBatch, _single_curve, _validate_bandwidth
 from .resampling import ResamplingPlan
-from .samples import SurvivalCurve, SurvivalSample, TimeGrid, integrate_on_grid
+from .samples import SurvivalCurve, SurvivalSample, TimeGrid
 
 __all__ = [
     "ConfidenceRegion",
@@ -32,7 +32,6 @@ __all__ = [
     "region_method1",
     "region_method2",
     "method2_radius",
-    "lp_distance",
     "clamp_and_plateau_fix",
     "write_region_csv",
 ]
@@ -101,17 +100,6 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
-def _order_statistic(values, alpha: float) -> float:
-    """The k-th smallest of B values, k = min{k : k/B >= 1 - alpha}.
-
-    The comparison is the one coverage_fraction makes, so both region methods
-    reach the level with the same k.
-    """
-    _check_alpha(alpha)
-    values = np.sort(values)
-    return float(values[np.argmax(np.arange(1, values.size + 1) / values.size >= 1.0 - alpha)])
-
-
 def calibrate_lambda(pilot_values, curves, sigma_star, alpha: float) -> float:
     """Exact order-statistic solution of the coverage equation p_hat(lambda) >= 1 - alpha.
 
@@ -121,6 +109,7 @@ def calibrate_lambda(pilot_values, curves, sigma_star, alpha: float) -> float:
     by the few ulps that the division can lose, until coverage_fraction
     itself reaches the level.
     """
+    _check_alpha(alpha)
     mat = _curve_matrix(curves)
     pilot = np.asarray(pilot_values, dtype=float)
     sigma = np.asarray(sigma_star, dtype=float)
@@ -130,7 +119,9 @@ def calibrate_lambda(pilot_values, curves, sigma_star, alpha: float) -> float:
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(sigma > 0.0, dev / sigma, np.where(dev > 0.0, np.inf, 0.0))
     target = 1.0 - alpha
-    lam = _order_statistic(ratio.max(axis=1), alpha)
+    # k/B >= target is the comparison coverage_fraction makes, so m_(k) meets the level up to rounding
+    m = np.sort(ratio.max(axis=1))
+    lam = float(m[np.argmax(np.arange(1, m.size + 1) / m.size >= target)])
     if not np.isfinite(lam):
         raise DegenerateVarianceError("coverage never reaches the target level")
     while coverage_fraction(lam, pilot, mat, sigma) < target:
@@ -232,24 +223,13 @@ def region_method1(
     return _region(1, sample, x0, h, plan, grid, alpha, g, estimator, support, resamples)
 
 
-def lp_distance(values_a, values_b, grid: TimeGrid, p) -> float:
-    """L_p distance between two curves on the grid; p may be 1, 2 or "sup"."""
-    diff = np.abs(np.asarray(values_a, float) - np.asarray(values_b, float))
-    if p == "sup" or p == np.inf:
-        return float(diff.max())
-    if p in (1, 2):
-        return float(integrate_on_grid(diff**p, grid) ** (1.0 / p))
-    raise ValueError("p must be 1, 2 or 'sup'")
+def method2_radius(pilot_values, curves, grid: TimeGrid, alpha: float) -> float:
+    """Order-statistic radius rho* of the sup-norm ball around the estimate.
 
-
-def method2_radius(pilot_values, curves, grid: TimeGrid, alpha: float, p="sup") -> float:
-    """Order-statistic radius of the L_p ball around the estimate.
-
-    For p in {1, 2} the radius defines a membership test only; the sup norm
-    additionally yields the plottable constant-width envelope.
+    This is calibrate_lambda at scale one on the grid, the calibration that
+    region_method2 runs.
     """
-    mat = _curve_matrix(curves)
-    return _order_statistic([lp_distance(row, pilot_values, grid, p) for row in mat], alpha)
+    return calibrate_lambda(pilot_values, curves, np.ones(grid.n_points), alpha)
 
 
 def region_method2(
@@ -263,11 +243,8 @@ def region_method2(
     estimator: str = "beran",
     support: tuple[float, float] | None = None,
     resamples=None,
-    norm: str = "sup",
 ) -> ConfidenceRegion:
     """Sup-norm ball region: estimate +- rho*, constant width before clamping."""
-    if norm != "sup":
-        raise ValueError("only the sup norm has an envelope representation")
     return _region(2, sample, x0, h, plan, grid, alpha, g, estimator, support, resamples)
 
 

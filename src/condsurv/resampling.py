@@ -97,6 +97,8 @@ class StepCDF:
         cum = np.asarray(self.cum, dtype=float)
         if atoms.size != cum.size or atoms.size == 0:
             raise ValueError("atoms and cum must be nonempty and equally long")
+        if not (np.isfinite(atoms).all() and np.isfinite(cum).all()):
+            raise ValueError("atoms and cum must be finite")
         if np.any(np.diff(atoms) < 0.0) or np.any(np.diff(cum) < -1e-12):
             raise ValueError("atoms and cum must be nondecreasing")
         # the tolerated dips are clipped, so the inversion is the generalized inverse
@@ -104,39 +106,24 @@ class StepCDF:
         object.__setattr__(self, "cum", np.maximum.accumulate(cum))
 
 
-def inverse_transform_sample(cdf, u, support=None, tol: float = 1e-10):
-    """Generalized inverse inf{t : cdf(t) >= u}.
+def inverse_transform_sample(cdf: StepCDF, u):
+    """Generalized inverse inf{t : cdf(t) >= u} of a step cdf.
 
-    StepCDF inputs resolve by the resampler's own step-cdf inversion.
-    Callable cdfs are inverted by bisection on the support interval to
-    absolute tolerance `tol` in t.  Non-finite u raise ValueError.
+    The inversion is the resampler's own.  Non-finite u raise ValueError.
 
     Returns
     -------
     (t, saturated)
         `saturated` marks u at or above the terminal cdf value; those draws
-        return the largest support point.
+        return the largest atom.
     """
+    if not isinstance(cdf, StepCDF):
+        raise TypeError("cdf must be a StepCDF")
     scalar = np.ndim(u) == 0
     uu = np.atleast_1d(np.asarray(u, dtype=float))
     if not np.isfinite(uu).all():
         raise ValueError("u must be finite")
-    if isinstance(cdf, StepCDF):
-        vals, sat = _rows_inverse(cdf.cum[None, :], np.zeros(uu.shape, dtype=np.intp), cdf.atoms, uu)
-    elif callable(cdf):
-        if support is None:
-            raise ValueError("a support interval is required to invert a callable cdf")
-        lo = np.full_like(uu, float(support[0]))
-        hi = np.full_like(uu, float(support[1]))
-        sat = uu >= np.asarray(cdf(hi), dtype=float)
-        while np.any((hi - lo) > tol):
-            mid = 0.5 * (lo + hi)
-            go_left = np.asarray(cdf(mid), dtype=float) >= uu
-            hi = np.where(go_left, mid, hi)
-            lo = np.where(go_left, lo, mid)
-        vals = np.where(sat, float(support[1]), 0.5 * (lo + hi))
-    else:
-        raise TypeError("cdf must be a StepCDF or a callable")
+    vals, sat = _rows_inverse(cdf.cum[None, :], np.zeros(uu.shape, dtype=np.intp), cdf.atoms, uu)
     if scalar:
         return float(vals[0]), bool(sat[0])
     return vals, sat

@@ -15,6 +15,13 @@ def grid_4():
     return TimeGrid(np.array([1.0, 2.0, 3.0, 4.0]))
 
 
+def reflect_covariates(sample, support):
+    """Reference reflection: the sample followed by its mirror images 2a - x and 2b - x."""
+    a, b = support
+    return SurvivalSample(x=np.concatenate([sample.x, 2.0 * a - sample.x, 2.0 * b - sample.x]),
+                          z=np.tile(sample.z, 3), delta=np.tile(sample.delta, 3))
+
+
 def random_sample(rng, n, censor_scale=1.0):
     """Continuous right-censored sample with distinct times almost surely."""
     x = rng.random(n)

@@ -9,7 +9,6 @@ from condsurv import (
     TimeGrid,
     bootstrap_mise_1d,
     bootstrap_mise_2d,
-    bootstrap_mse_pointwise,
     default_covariate_box,
     default_time_box,
     integrate_on_grid,
@@ -18,7 +17,6 @@ from condsurv import (
     select_bandwidth_1d,
     select_bandwidth_2d,
 )
-from condsurv import PilotBandwidths
 from condsurv.bandwidth import _mean_integrated_sq, _minimize, _pilot_values
 from condsurv.estimators import _CurveBatch
 from condsurv.resampling import resample
@@ -67,12 +65,6 @@ class TestPilots:
             pilot_r(s, 1.5)
         with pytest.raises(NoEventsError):
             pilot_s(s)
-
-    def test_pilot_pair_container(self):
-        pair = PilotBandwidths(r=0.2, s=0.4)
-        assert pair.c == 1.5
-        with pytest.raises(ValueError):
-            PilotBandwidths(r=0.0, s=0.4)
 
 
 def hand_mise(resamples, pilot_steps, h_weights_uniform_n, grid, pilot_at):
@@ -164,21 +156,6 @@ class TestObjectives:
             self.sample, 0.5, 0.4, g, plan2, self.grid, resamples=[rs1]
         )
         assert value == pytest.approx(oracle, rel=1e-10)
-
-    def test_mse_pointwise_hand_sum(self):
-        rs1 = SurvivalSample(x=[0.5, 0.5, 0.5], z=[1.0, 2.0, 3.0], delta=[1, 1, 1])
-        rs2 = SurvivalSample(x=[0.5, 0.5, 0.5], z=[1.0, 2.0, 3.0], delta=[0, 1, 1])
-        t0 = 2.5
-        pilot_steps = pure_product_limit([1.0, 2.0, 3.0], [1, 0, 1], [1 / 3] * 3)
-        p = eval_steps(pilot_steps, t0)
-        d1 = eval_steps(pure_product_limit([1.0, 2.0, 3.0], [1, 1, 1], [1 / 3] * 3), t0) - p
-        d2 = eval_steps(pure_product_limit([1.0, 2.0, 3.0], [0, 1, 1], [1 / 3] * 3), t0) - p
-        oracle = (d1 * d1 + d2 * d2) / 2
-        value = bootstrap_mse_pointwise(
-            self.sample, 0.5, t0, 2.0, self.plan, resamples=[rs1, rs2]
-        )
-        assert value == pytest.approx(oracle, rel=1e-12)
-        assert value >= 0.0
 
     def test_scheme_mismatch_rejected(self):
         plan = ResamplingPlan(SCHEME_SMOOTHED, 0.4, 0, 2, pilot_s=0.3)

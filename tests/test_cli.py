@@ -504,7 +504,7 @@ class TestSimulateCommand:
             "simulate", "--mode", "bandwidth", "--n", "20", "--n-samples", "3",
             "--B", "2", "--n-grid", "8", "--seed", "1", "--strategy", "grid",
             "--grid-size", "4", "--mise-samples", "3", "--mise-grid", "4",
-            "--budget-minutes", "0", "--out", str(out),
+            "--budget-minutes", "1e-9", "--out", str(out),
         ])
         assert code == 4
         report = json.loads((out / "report.json").read_text())
@@ -544,6 +544,8 @@ class TestSimulateCountsCheckedFirst:
         (["--mise-grid", "0"], "mise_grid"),
         (["--B", "0"], "B"),
         (["--mode", "regions", "--alpha", "1.5"], "alpha"),
+        (["--budget-minutes", "nan"], "budget_seconds"),
+        (["--budget-minutes", "-1"], "budget_seconds"),
     ])
     def test_exit_2_before_any_draw(self, tmp_path, monkeypatch, command, flags, field):
         import condsurv.benchmark

@@ -9,7 +9,6 @@ from condsurv import (
     beran_survival,
     beran_weights,
     kaplan_meier,
-    reflect_covariates,
     smoothed_beran_survival,
 )
 from condsurv.errors import DegenerateWeightsError
@@ -21,6 +20,7 @@ from conftest import (
     random_sample,
     reference_product_limit_rows,
     reference_query_weights,
+    reflect_covariates,
 )
 
 
@@ -267,10 +267,10 @@ def test_product_limit_rows_match_reference_bit_for_bit():
 @pytest.mark.parametrize("support", [None, (0.0, 1.0)])
 def test_query_weights_and_sorted_product_limit_match_reference(tied, support):
     from condsurv.estimators import _query_weights, _sort_order
-    from condsurv.kernels import DEFAULT_KERNEL, _mirrored, kernel_fn
+    from condsurv.kernels import _density, _mirrored
 
     rng = np.random.default_rng(9)
-    kfn = kernel_fn(DEFAULT_KERNEL)
+    kfn = _density()
     for n in (3, 25, 120):
         s = random_sample(rng, n)
         z = np.round(s.z, 1) if tied else s.z

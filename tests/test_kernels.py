@@ -5,8 +5,9 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
-from condsurv import DEFAULT_KERNEL, KernelSpec, SurvivalSample, eval_integrated_kernel, eval_kernel, reflect_covariates
-from condsurv.kernels import fold_into_support, integrated_kernel_fn, kernel_fn, kernel_rvs
+from condsurv import DEFAULT_KERNEL, KernelSpec, SurvivalSample, eval_integrated_kernel, eval_kernel
+from condsurv import kernels
+from condsurv.kernels import _gaussian_density, _mirrored, fold_into_support, kernel_rvs
 
 
 def test_kernel_zero_outside_truncation_range():
@@ -70,28 +71,21 @@ def test_narrow_truncation_renormalizes():
 
 def test_fast_paths_match_generic_evaluation():
     u = np.linspace(-8.0, 8.0, 401)
-    assert_allclose(kernel_fn(DEFAULT_KERNEL)(u), eval_kernel(DEFAULT_KERNEL, u), rtol=0, atol=0)
-    assert_allclose(
-        integrated_kernel_fn(DEFAULT_KERNEL)(u), eval_integrated_kernel(DEFAULT_KERNEL, u), rtol=0, atol=0
-    )
-    narrow = KernelSpec(truncation_range=(-1.5, 3.0))
-    assert_allclose(kernel_fn(narrow)(u), eval_kernel(narrow, u), rtol=0, atol=0)
-    assert_allclose(integrated_kernel_fn(narrow)(u), eval_integrated_kernel(narrow, u), rtol=0, atol=0)
+    assert_allclose(kernels._density()(u), eval_kernel(DEFAULT_KERNEL, u), rtol=0, atol=0)
+    assert_allclose(kernels._cdf()(u), eval_integrated_kernel(DEFAULT_KERNEL, u), rtol=0, atol=0)
 
 
-@pytest.mark.parametrize("spec", [DEFAULT_KERNEL, KernelSpec(truncation_range=(-1.5, 3.0))])
-def test_kernel_closure_writes_into_out(spec):
+def test_gaussian_density_writes_into_out():
     u = np.linspace(-8.0, 8.0, 401)
-    kfn = kernel_fn(spec)
-    expected = kfn(u)
+    expected = _gaussian_density(u)
     np.testing.assert_array_equal(u, np.linspace(-8.0, 8.0, 401))
     buf = np.empty_like(u)
-    assert kfn(u, out=buf) is buf
+    assert _gaussian_density(u, out=buf) is buf
     np.testing.assert_array_equal(buf, expected)
     in_place = u.copy()
-    kfn(in_place, out=in_place)
+    _gaussian_density(in_place, out=in_place)
     np.testing.assert_array_equal(in_place, expected)
-    assert float(kfn(0.3)) == eval_kernel(spec, 0.3)
+    assert float(_gaussian_density(0.3)) == eval_kernel(DEFAULT_KERNEL, 0.3)
 
 
 def test_kernel_spec_validation():
@@ -121,25 +115,23 @@ def test_fold_into_support():
 
 
 def test_reflect_single_point():
-    sample = SurvivalSample(x=[0.5], z=[1.0], delta=[1])
-    out = reflect_covariates(sample, (0.0, 1.0))
-    assert_allclose(out.x, [0.5, -0.5, 1.5])
-    assert_allclose(out.z, [1.0, 1.0, 1.0])
-    assert_allclose(out.delta, [1.0, 1.0, 1.0])
+    assert_allclose(_mirrored(np.array([0.5]), (0.0, 1.0)), [0.5, -0.5, 1.5])
 
 
 def test_reflect_triples_count_and_preserves_pairs():
-    sample = SurvivalSample(x=[0.1, 0.9], z=[2.0, 5.0], delta=[1, 0])
-    out = reflect_covariates(sample, (0.0, 1.0))
-    assert out.n == 6
-    pairs = sorted(zip(out.z, out.delta))
-    assert pairs == sorted([(2.0, 1.0), (5.0, 0.0)] * 3)
+    x = np.array([[0.1, 0.9], [0.3, 0.2]])
+    out = _mirrored(x, (0.0, 1.0))
+    assert out.shape == (2, 6)
+    # each covariate keeps its column, its mirror images follow at offsets n and 2n
+    assert_allclose(out, np.concatenate([x, -x, 2.0 - x], axis=1))
+    assert _mirrored(x, None) is x
 
 
 def test_reflect_rejects_outside_support():
-    sample = SurvivalSample(x=[1.4], z=[1.0], delta=[1])
-    with pytest.raises(ValueError):
-        reflect_covariates(sample, (0.0, 1.0))
+    with pytest.raises(ValueError, match="inside the declared support"):
+        _mirrored(np.array([1.4]), (0.0, 1.0))
+    with pytest.raises(ValueError, match="a < b"):
+        _mirrored(np.array([0.5]), (1.0, 0.0))
 
 
 def _direct_weights(x_points, x0, h):
@@ -153,7 +145,7 @@ def test_reflection_changes_boundary_weights_only(hand_sample):
     rng = np.random.default_rng(11)
     sample = SurvivalSample(x=rng.random(40), z=rng.exponential(1, 40), delta=np.ones(40))
     h = 0.05
-    reflected = reflect_covariates(sample, (0.0, 1.0))
+    reflected_x = _mirrored(sample.x, (0.0, 1.0))
 
     near = beran_weights(sample, 0.02, h).w
     near_reflected = beran_weights(sample, 0.02, h, support=(0.0, 1.0)).w
@@ -164,7 +156,7 @@ def test_reflection_changes_boundary_weights_only(hand_sample):
     mid_reflected = beran_weights(sample, 0.5, h, support=(0.0, 1.0)).w
     # oracle: direct kernel-formula weights on the plain and reflected points
     assert_allclose(mid, _direct_weights(sample.x, 0.5, h), atol=1e-14)
-    assert_allclose(mid_reflected, _direct_weights(reflected.x, 0.5, h), atol=1e-14)
+    assert_allclose(mid_reflected, _direct_weights(reflected_x, 0.5, h), atol=1e-14)
     assert np.max(np.abs(mid - mid_reflected[: sample.n])) < 1e-12
 
 
@@ -187,26 +179,22 @@ def test_only_kernels_decides_the_kernel():
 def test_scalar_cdf_agrees_with_scipy_ndtr():
     import scipy.special
 
-    from condsurv.kernels import _gaussian_density, _is_effectively_untruncated, _phi
+    from condsurv.kernels import _phi
 
     assert _phi(-50.0) == scipy.special.ndtr(-50.0) == 0.0
     assert _phi(50.0) == scipy.special.ndtr(50.0) == 1.0
     assert DEFAULT_KERNEL.mass == float(scipy.special.ndtr(50.0) - scipy.special.ndtr(-50.0)) == 1.0
-    assert _is_effectively_untruncated(DEFAULT_KERNEL)
-    assert integrated_kernel_fn(DEFAULT_KERNEL) is scipy.special.ndtr
-    assert kernel_fn(DEFAULT_KERNEL) is _gaussian_density
+    assert kernels._cdf() is scipy.special.ndtr
+    assert kernels._density() is _gaussian_density
 
 
 @pytest.mark.parametrize("low, high", [(-2.0, 2.0), (-1.0, 3.0), (-6.0, 1.5), (0.0, 40.0), (2.0, 5.0)])
 def test_truncated_mass_is_within_4_ulp_of_scipy(low, high):
     import scipy.special
 
-    from condsurv.kernels import _is_effectively_untruncated
-
     spec = KernelSpec(truncation_range=(low, high))
     reference = float(scipy.special.ndtr(high) - scipy.special.ndtr(low))
     assert abs(spec.mass - reference) <= 4 * np.spacing(reference)
-    assert not _is_effectively_untruncated(spec)
 
 
 def test_truncated_mass_differs_from_scipy_only_by_cancellation():

@@ -25,7 +25,6 @@ from condsurv import (
     write_region_csv,
 )
 from condsurv.errors import DegenerateVarianceError, InsufficientReplicatesError
-from condsurv.regions import lp_distance
 
 
 class TestSigma:
@@ -249,15 +248,6 @@ class TestMethod2Radius:
         with pytest.raises(ValueError, match="alpha"):
             method2_radius(np.zeros(2), np.ones((4, 2)), grid, alpha)
 
-    def test_lp_distances(self):
-        grid = TimeGrid([1.0, 2.0])
-        a, b = np.array([1.0, 1.0]), np.array([0.0, 0.5])
-        assert lp_distance(a, b, grid, "sup") == pytest.approx(1.0)
-        assert lp_distance(a, b, grid, 1) == pytest.approx(1.0 + 0.5)
-        assert lp_distance(a, b, grid, 2) == pytest.approx(np.sqrt(1.0 + 0.25))
-        with pytest.raises(ValueError):
-            lp_distance(a, b, grid, 3)
-
 
 class TestRegionBuilders:
     def setup_method(self):
@@ -301,13 +291,6 @@ class TestRegionBuilders:
         assert_allclose(width[interior], 2 * rho, atol=1e-12)
         assert np.max(width) <= 2 * rho + 1e-12
         assert region.method == "method2"
-
-    def test_method2_norm_restriction(self):
-        with pytest.raises(ValueError):
-            region_method2(
-                self.sample, 0.6, 0.3, self.plan, self.grid,
-                support=self.model.support, resamples=self.resamples, norm="l2",
-            )
 
     def test_smoothed_region_requires_g(self):
         plan = ResamplingPlan(

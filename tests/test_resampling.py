@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
-from scipy.special import ndtr
 
 from condsurv import (
     SCHEME_BERAN,
@@ -78,31 +77,9 @@ class TestInverseTransform:
         value, saturated = inverse_transform_sample(cdf, 0.8)
         assert value == 2.0 and saturated
 
-    def test_identity_cdf_bisection(self):
-        value, saturated = inverse_transform_sample(lambda t: np.clip(t, 0, 1), 0.25, support=(0.0, 1.0))
-        assert not saturated
-        assert value == pytest.approx(0.25, abs=1e-10)
-
-    def test_smoothed_cdf_against_dense_tabulation(self):
-        # smoothed distribution of the hand sample: jumps 1/3, 2/3 at z = 1, 3
-        s = 0.5
-
-        def cdf(t):
-            t = np.asarray(t, dtype=float)
-            return (1.0 / 3.0) * ndtr((t - 1.0) / s) + (2.0 / 3.0) * ndtr((t - 3.0) / s)
-
-        support = (1.0 - 50 * s, 3.0 + 50 * s)
-        ts = np.linspace(support[0], support[1], 1_000_001)
-        table = cdf(ts)
-        for u in (0.2, 0.5, 0.77):
-            value, saturated = inverse_transform_sample(cdf, u, support=support)
-            oracle = ts[np.searchsorted(table, u, side="left")]
-            assert not saturated
-            assert abs(value - oracle) < 1e-4
-
-    def test_callable_requires_support(self):
-        with pytest.raises(ValueError):
-            inverse_transform_sample(lambda t: t, 0.5)
+    def test_non_step_cdf_is_rejected(self):
+        with pytest.raises(TypeError, match="StepCDF"):
+            inverse_transform_sample(lambda t: np.clip(t, 0.0, 1.0), 0.5)
 
 
 def hand_law(sample, x0, r, censoring=False):
@@ -443,8 +420,18 @@ def test_inverse_transform_rejects_non_finite_u(bad, as_array):
     u = np.array([0.3, bad]) if as_array else bad
     with pytest.raises(ValueError, match="finite"):
         inverse_transform_sample(StepCDF(atoms=[1.0, 2.0], cum=[0.4, 1.0]), u)
+
+
+@pytest.mark.parametrize("atoms, cum", [
+    ([1.0, 2.0, 3.0], [np.nan, 0.5, 1.0]),
+    ([1.0, 2.0, 3.0], [0.2, 0.5, np.inf]),
+    ([1.0, np.nan, 3.0], [0.2, 0.5, 1.0]),
+    ([-np.inf, 2.0, 3.0], [0.2, 0.5, 1.0]),
+])
+def test_step_cdf_rejects_non_finite_input(atoms, cum):
+    # a nan cum made every running maximum nan, so every u inverted to the first atom
     with pytest.raises(ValueError, match="finite"):
-        inverse_transform_sample(lambda t: np.clip(t, 0.0, 1.0), u, support=(0.0, 1.0))
+        StepCDF(atoms=atoms, cum=cum)
 
 
 def test_step_inverse_is_the_generalized_inverse_on_a_tolerated_dip():
