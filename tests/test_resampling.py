@@ -429,7 +429,7 @@ def test_inverse_transform_rejects_non_finite_u(bad, as_array):
     ([-np.inf, 2.0, 3.0], [0.2, 0.5, 1.0]),
 ])
 def test_step_cdf_rejects_non_finite_input(atoms, cum):
-    # a nan cum made every running maximum nan, so every u inverted to the first atom
+    # a nan cum would make every running maximum nan, and every u would invert to the first atom
     with pytest.raises(ValueError, match="finite"):
         StepCDF(atoms=atoms, cum=cum)
 
