@@ -8,9 +8,12 @@ and workload of ``perfbench/workloads.py`` the input CSV files are generated
 once, with SRC_A's sources, and the workload's full-scale commands run once
 against each tree.  The commands of ``EXTRA`` follow: two on model1 samples
 large enough that the resampler builds its laws in several row blocks under
-both schemes (the benchmark's smoothed inputs fit in one), and one small
-smoothed region study, ``simulate --mode regions``, which reads no data file
-and covers the benchmark module's region path.  Every output file is then
+both schemes (the benchmark's smoothed inputs fit in one); a smoothed
+``select-bandwidth --strategy grid`` at two x0, whose one-level mesh no
+workload searches; and two small smoothed studies that read no data file,
+``simulate --mode regions`` and ``simulate --mode bandwidth``, which cover the
+benchmark module's region path and its ground-truth and selection searches
+of (h, g).  Every output file is then
 compared: the script prints whether its bytes are equal and, when they are
 not, the largest |difference| over its numbers (CSV cells and JSON numbers)
 with the place where it occurs, every top-level JSON number that moved, and
@@ -47,6 +50,12 @@ EXTRA = {
     "beran-select-4000": ("select-bandwidth", ("--estimator", "beran", "--x0", "0.5", "--B", "8"), (4000, 0.2)),
     "smoothed-region-study": ("simulate", ("--mode", "regions", "--estimator", "smoothed-beran", "--n", "80",
                                            "--n-samples", "2", "--B", "10", "--h", "0.2", "--g", "0.1"), None),
+    "smoothed-select-grid": ("select-bandwidth", ("--estimator", "smoothed-beran", "--x0", "0.4,0.6",
+                                                  "--strategy", "grid", "--grid-size", "12", "--B", "10"),
+                             (200, 0.2)),
+    "smoothed-select-study": ("simulate", ("--mode", "bandwidth", "--estimator", "smoothed-beran", "--n", "80",
+                                           "--n-samples", "2", "--B", "10", "--n-grid", "30",
+                                           "--mise-samples", "20", "--mise-grid", "8"), None),
 }
 
 

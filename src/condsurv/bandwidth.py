@@ -133,7 +133,7 @@ def _bootstrap_mise(sample, x0, bandwidths, plan, grid, support, resamples) -> f
     rs = _resamples_or_generate(sample, plan, support, resamples)
     batch = _CurveBatch(rs, grid.points, support)
     pilot = _pilot_values(sample, x0, plan, grid.points, support)
-    values, ok = batch.values(x0, *(float(b) for b in bandwidths))
+    values, ok = batch.values(x0, [tuple(float(b) for b in bandwidths)])[0]
     return _mean_integrated_sq(values, ok, pilot, grid.cell_widths)
 
 
@@ -188,26 +188,28 @@ def _best_traced(trace) -> tuple:
 
 
 def _minimize(objective, boxes, strategy, grid_size, trace) -> tuple:
-    """Minimize objective(h) or objective(h, g) over one or two search intervals.
+    """Minimize an objective over one or two search intervals.
 
-    Every evaluation is appended to `trace` as (h[, g], value), and the best
-    finite entry is returned.  Both strategies run g as the outer loop, so
-    the integrated-kernel tensor is built once per g value.  "grid"
-    evaluates the grid_size-point mesh.  "multistart" is a deterministic
-    mesh-and-zoom search: a 16-point mesh per axis, then 12 levels of a
-    5-point mesh per axis over one cell either side of the best finite point
-    so far, clipped to the box, each level halving the cell and skipping
-    points already evaluated.  Its last spacing is 1/61440 of each interval.
+    `objective` maps the list of a mesh level's unseen points, each (h,) or
+    (h, g) with g as the outer loop, to the list of their values.  Every
+    evaluation is appended to `trace` as (h[, g], value), and the best
+    finite entry is returned.  "grid" evaluates the grid_size-point mesh as
+    one level.  "multistart" is a deterministic mesh-and-zoom search: a
+    16-point mesh per axis, then 12 levels of a 5-point mesh per axis over
+    one cell either side of the best finite point so far, clipped to the
+    box, each level halving the cell and skipping points already evaluated.
+    Its last spacing is 1/61440 of each interval.
     """
 
     seen: dict = {}
 
     def visit(axes):
         # the mesh of `axes` (h first) with g as the outer loop, skipping points seen
-        for outer_first in itertools.product(*reversed(axes)):
-            point = tuple(float(v) for v in outer_first[::-1])
-            if point not in seen:
-                seen[point] = float(objective(*point))
+        mesh = (tuple(float(v) for v in outer_first[::-1]) for outer_first in itertools.product(*reversed(axes)))
+        points = [point for point in dict.fromkeys(mesh) if point not in seen]
+        if points:
+            for point, value in zip(points, objective(points), strict=True):
+                seen[point] = float(value)
                 trace.append((*point, seen[point]))
 
     if strategy == "grid":
@@ -235,12 +237,10 @@ def _select(sample, x0, boxes, plan, grid, strategy, grid_size, support, resampl
     boxes = _validate_boxes(boxes)
     pilot = _pilot_values(sample, x0, plan, grid.points, support)
     widths = grid.cell_widths
-    # a grid search sweeps every h of its axis once per g, so the jump-mass cache holds the whole axis
-    h_slots = grid_size if strategy == "grid" else 0
-    batch = _CurveBatch(_resamples_or_generate(sample, plan, support, resamples), grid.points, support, h_slots)
+    batch = _CurveBatch(_resamples_or_generate(sample, plan, support, resamples), grid.points, support)
 
-    def objective(*bandwidths) -> float:
-        return _mean_integrated_sq(*batch.values(x0, *bandwidths), pilot, widths)
+    def objective(points) -> list:
+        return batch.values(x0, points, lambda values, ok: _mean_integrated_sq(values, ok, pilot, widths))
 
     trace: list = []
     best = _minimize(objective, boxes, strategy, grid_size, trace)

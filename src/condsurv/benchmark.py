@@ -34,7 +34,7 @@ from .bandwidth import (
 from .dataio import _write_json
 from .estimators import _CurveBatch
 from .regions import _check_alpha, _region
-from .resampling import SCHEME_BERAN, ResamplingPlan, child_seed, resample, substream
+from .resampling import SCHEME_BERAN, ResamplingPlan, child_seed, substream
 from .samples import TimeGrid, integrate_on_grid
 from .simulation import SimModel, generate_sample, make_model
 
@@ -167,25 +167,30 @@ def mc_mise(
     if estimator not in ("beran", "smoothed-beran"):
         raise ValueError(f"unknown estimator: {estimator!r}")
     g = None if estimator == "beran" else float(g)
-    return _mise_function(model, grid, n_samples, n, seed)(float(h), g)
+    return _mise_function(model, grid, n_samples, n, seed)([(float(h), g)])[0]
 
 
 def _mise_function(model, grid, n_samples, n, seed):
-    """MISE against the model truth at x0 as a function of (h[, g]), over fixed samples (seed, j)."""
+    """MISE against the model truth at x0 of each bandwidth point of a list, over fixed samples (seed, j)."""
     samples = [generate_sample(model, n, substream(seed, j)) for j in range(n_samples)]
     batch = _CurveBatch(samples, grid.points, model.support)
     truth = np.asarray(model.true_survival(grid.points, model.x0))
-    return lambda h, g=None: _mean_integrated_sq(*batch.values(model.x0, h, g), truth, grid.cell_widths)
+    return lambda points: batch.values(
+        model.x0, points, lambda values, ok: _mean_integrated_sq(values, ok, truth, grid.cell_widths))
 
 
-def _mise_optimal(model, boxes, grid, n_samples, n, n_candidates, seed):
-    """Grid search for the MISE-optimal h, or pair (h, g); returns (bandwidths, rmise).
+def _until(deadline: float | None, points):
+    """The points one at a time, raising TimeoutError once the deadline has passed."""
+    for point in points:
+        if deadline is not None and time.perf_counter() > deadline:
+            raise TimeoutError("the wall-clock budget ran out")
+        yield point
 
-    The same Monte Carlo samples are reused for every candidate.
-    """
-    objective = _mise_function(model, grid, n_samples, n, seed)
-    *bandwidths, mise = _minimize(objective, boxes, "grid", n_candidates, [])
-    return tuple(bandwidths), float(np.sqrt(mise))
+
+def _mise_optimal(mise, boxes, n_candidates):
+    """Grid search of a _mise_function, over the same samples throughout; returns (bandwidths, rmise)."""
+    *bandwidths, value = _minimize(mise, boxes, "grid", n_candidates, [])
+    return tuple(bandwidths), float(np.sqrt(value))
 
 
 def mise_optimal_1d(
@@ -199,7 +204,7 @@ def mise_optimal_1d(
     seed: int,
 ) -> tuple[float, float]:
     """Grid search for the MISE-optimal Beran bandwidth; returns (h, rmise)."""
-    (h,), rmise = _mise_optimal(model, (box,), grid, n_samples, n, n_candidates, seed)
+    (h,), rmise = _mise_optimal(_mise_function(model, grid, n_samples, n, seed), (box,), n_candidates)
     return h, rmise
 
 
@@ -215,7 +220,7 @@ def mise_optimal_2d(
     seed: int,
 ) -> tuple[float, float, float]:
     """Mesh search for the MISE-optimal smoothed pair; returns (h, g, rmise)."""
-    (h, g), rmise = _mise_optimal(model, (box_h, box_g), grid, n_samples, n, n_candidates, seed)
+    (h, g), rmise = _mise_optimal(_mise_function(model, grid, n_samples, n, seed), (box_h, box_g), n_candidates)
     return h, g, rmise
 
 
@@ -305,15 +310,9 @@ def _region_task(config, model, grid, h, g, j):
     sample = generate_sample(model, config.n, substream(config.seed, 0, j))
     plan = _resampling_plan(config.estimator, sample, model.pilot_c, child_seed(config.seed, 1, j),
                             config.B)
-    shared = resample(sample, plan, model.support)[0]
-    return {
-        method: _region(
-            method, sample, model.x0, h, plan, grid,
-            alpha=config.alpha, g=g, estimator=config.estimator,
-            support=model.support, resamples=shared,
-        )
-        for method in config.methods
-    }
+    regions = _region(config.methods, sample, (model.x0,), h, plan, grid, alpha=config.alpha, g=g,
+                      estimator=config.estimator, support=model.support)
+    return {method: found[0] for method, found in regions.items()}
 
 
 def _map_with_budget(fn, n_tasks: int, workers: int, deadline: float | None):
@@ -342,8 +341,9 @@ def _map_with_budget(fn, n_tasks: int, workers: int, deadline: float | None):
 def run_benchmark(config: BenchConfig) -> BenchReport:
     """Run one bandwidth-selection or confidence-region study.
 
-    A wall-clock budget, when set, is checked between per-sample tasks; on
-    expiry the report carries the completed prefix and is flagged incomplete.
+    A wall-clock budget, when set, is checked between the ground-truth
+    search's evaluations and between per-sample tasks; on expiry the report
+    carries the completed prefix and is flagged incomplete.
     """
     model = make_model(config.model, config.censoring)
     grid = TimeGrid.uniform(model.t_max, config.n_grid)
@@ -376,10 +376,13 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     boxes = (box_h, box_g) if smoothed else (box_h,)
     h, g = config.bandwidth_h, config.bandwidth_g
     if config.mode == "bandwidth" or h is None:
-        bandwidths, rmise_opt = _mise_optimal(
-            model, boxes, grid, config.mise_samples, config.n, config.mise_grid,
-            child_seed(config.seed, 4),
-        )
+        mise = _mise_function(model, grid, config.mise_samples, config.n, child_seed(config.seed, 4))
+        try:
+            bandwidths, rmise_opt = _mise_optimal(lambda pts: mise(_until(deadline, pts)), boxes, config.mise_grid)
+        except TimeoutError:
+            report.incomplete = True
+            return report
+        del mise  # frees the ground-truth samples before the sample tasks run
         h, g = bandwidths if smoothed else (bandwidths[0], g)
 
     if config.mode == "bandwidth":
@@ -391,8 +394,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         report.h_mise, report.g_mise, report.rmise_at_optimal = h_mise, g_mise, rmise_opt
         if selections:
             mise_at = _mise_function(model, grid, config.mise_samples, config.n, child_seed(config.seed, 5))
-            rmise_selected = [float(np.sqrt(mise_at(s.h_star, s.g_star))) for s in selections]
-            rmise_ref = float(np.sqrt(mise_at(h_mise, g_mise)))
+            rmise_selected = [float(np.sqrt(mise_at([(s.h_star, s.g_star)])[0])) for s in selections]
+            rmise_ref = float(np.sqrt(mise_at([(h_mise, g_mise)])[0]))
             report.bandwidth_metrics = relative_metrics(
                 selections, h_mise, rmise_selected, rmise_ref, g_mise=g_mise
             )

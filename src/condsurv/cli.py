@@ -350,11 +350,9 @@ def _cmd_region(args) -> int:
     resamples, diagnostics = resample(sample, plan, args.support)
     run_meta = {"B": args.B, "n": sample.n, "filters": filters, "resampling": asdict(diagnostics),
                 "version": __version__}
-    for x0, stem in zip(args.x0, stems):
-        region = _region(
-            args.method, sample, x0, args.h, plan, grid, alpha=args.alpha, g=args.g,
-            estimator=args.estimator, support=args.support, resamples=resamples,
-        )
+    regions = _region((args.method,), sample, args.x0, args.h, plan, grid, alpha=args.alpha, g=args.g,
+                      estimator=args.estimator, support=args.support, resamples=resamples)[args.method]
+    for region, stem in zip(regions, stems):
         write_region_csv(region, f"{stem}.csv", f"{stem}.json", extra=run_meta)
     return EXIT_OK
 

@@ -26,13 +26,7 @@ from .samples import SurvivalCurve, SurvivalSample, TimeGrid
 __all__ = ["BeranWeights", "beran_weights", "beran_survival", "kaplan_meier", "smoothed_beran_survival"]
 
 _AT_RISK_EPS = 1e-12
-# _CurveBatch cache bounds.  With g as the outer loop (bandwidth._minimize)
-# the jump masses hold a whole h axis of the default 32-point grid (a search
-# over a longer h axis sizes the cache from it), and the tensors a 16-point
-# coarse mesh plus the two new g of a zoom level.  Tensors past the byte
-# budget are rebuilt instead (one is always kept).
-_H_CACHE_SIZE = 32
-_TENSOR_SLOTS = 18
+# the bytes of integrated-kernel tensors a _CurveBatch holds at once (at least one tensor)
 _TENSOR_CACHE_BYTES = 64 << 20
 
 
@@ -129,11 +123,9 @@ class _CurveBatch:
     that does not depend on the bandwidths (grid step positions, distinct
     jump locations) is precomputed.  Boundary reflection enters through
     folded kernel weights, so all product-limit arrays keep the sample length.
-    The jump-mass cache holds `h_slots` bandwidths h, and never fewer than
-    _H_CACHE_SIZE.
     """
 
-    def __init__(self, samples, points, support=None, h_slots=_H_CACHE_SIZE):
+    def __init__(self, samples, points, support=None):
         xs = np.stack([s.x for s in samples])
         zs = np.stack([s.z for s in samples])
         ds = np.stack([s.delta for s in samples])
@@ -147,26 +139,53 @@ class _CurveBatch:
         self._kfn = kernels._density()
         self._counts = np.stack([np.searchsorted(z, self.points, side="right") for z in self.z])
         self._atoms = None
-        self._h_cache: dict = {}
-        self._h_slots = max(_H_CACHE_SIZE, h_slots)
-        self._ik_cache: dict = {}
+        self._masses: dict = {}
+        self._tensors: dict = {}
         self.tensor_builds = 0
 
-    def values(self, x0: float, h: float, g: float | None = None):
-        """Curve values at x0, one row per sample, and the rows with kernel mass.
+    def values(self, x0: float, points, reduce=lambda values, ok: (values, ok)) -> list:
+        """reduce(values, ok) of the curves at x0 at each bandwidth point, in a list.
 
-        With g=None the rows are Beran step curves; otherwise their jumps are
-        smoothed in time at scale g.  The parts that depend on h alone or on g
-        alone are cached; cached parts give bit-identical values.
+        `values` has one row per sample and `ok` marks the rows with kernel
+        mass.  A point (h,) or (h, None) gives Beran step curves; (h, g)
+        smooths their jumps in time at scale g.  `reduce` runs per point, so
+        the list need not hold every curve.  Each h's jump masses and each g's
+        integrated-kernel tensor are computed once per call; what the previous
+        call computed is reused when it recurs, bit for bit, and the rest is
+        dropped when this call ends.
         """
-        if g is None:
-            w, ok = _query_weights(self._x_kern, self._folded, float(x0), h, self._kfn)
-            return self._grid_values(w), ok
-        ok, agg = _lru(self._h_cache, (float(x0), float(h)), lambda: self._jump_masses(x0, h), self._h_slots)
-        tensor = _lru(self._ik_cache, float(g), lambda: self._ik_tensor(g), self._tensor_slots)
-        vals = 1.0 - np.einsum("ktu,ku->kt", tensor, agg)
-        np.clip(vals, 0.0, 1.0, out=vals)
-        return vals, ok
+        x0 = float(x0)
+        masses, tensors, out = {}, {}, []
+        for point in points:
+            h, g = (*point, None)[:2]
+            if g is None:
+                w, ok = _query_weights(self._x_kern, self._folded, x0, h, self._kfn)
+                out.append(reduce(self._grid_values(w), ok))
+                continue
+            key = (x0, float(h))
+            if key not in masses:
+                masses[key] = self._masses.pop(key) if key in self._masses else self._jump_masses(x0, h)
+            ok, agg = masses[key]
+            vals = 1.0 - np.einsum("ktu,ku->kt", self._tensor(float(g), tensors), agg)
+            np.clip(vals, 0.0, 1.0, out=vals)
+            out.append(reduce(vals, ok))
+        self._masses, self._tensors = masses, tensors
+        return out
+
+    def _tensor(self, g: float, tensors: dict) -> np.ndarray:
+        """The tensor at g, moved to the end of this call's `tensors`.
+
+        A tensor is built only after the least recently used one has gone, if
+        the byte budget is full: the previous call's first, then this call's.
+        """
+        tensor = tensors.pop(g) if g in tensors else self._tensors.pop(g, None)
+        if tensor is None:
+            if len(self._tensors) + len(tensors) >= self._tensor_slots:
+                oldest = self._tensors or tensors
+                del oldest[next(iter(oldest))]
+            tensor = self._ik_tensor(g)
+        tensors[g] = tensor
+        return tensor
 
     def _grid_values(self, w: np.ndarray) -> np.ndarray:
         """Beran step-curve values for covariate weights given in sorted order."""
@@ -208,27 +227,16 @@ class _CurveBatch:
         self._starts = starts
         self._atoms = atoms
         self._ikfn = kernels._cdf()
-        self._tensor_slots = int(np.clip(_TENSOR_CACHE_BYTES // (8 * atoms.size * self.points.size), 1, _TENSOR_SLOTS))
+        self._tensor_slots = max(1, _TENSOR_CACHE_BYTES // (8 * atoms.size * self.points.size))
 
     def _ik_tensor(self, g: float) -> np.ndarray:
         self.tensor_builds += 1
         return self._ikfn((self.points[None, :, None] - self._atoms[:, None, :]) / float(g))
 
 
-def _lru(cache: dict, key, build, size: int):
-    """cache[key], built on a miss; the least recently used entry goes when `size` are held."""
-    value = cache.pop(key, None)
-    if value is None:
-        value = build()
-        if len(cache) >= size:
-            cache.pop(next(iter(cache)))
-    cache[key] = value
-    return value
-
-
 def _single_curve(sample, x0, h, points, support, g=None) -> np.ndarray:
     """Values of one curve, evaluated as a batch of one."""
-    values, ok = _CurveBatch([sample], points, support).values(x0, h, g)
+    values, ok = _CurveBatch([sample], points, support).values(x0, [(h, g)])[0]
     if not ok[0]:
         raise DegenerateWeightsError(
             f"all kernel weights vanish at x0={x0!r} with bandwidth h={h!r}"

@@ -162,49 +162,38 @@ def _region_bandwidths(estimator: str, h: float, g: float | None) -> tuple:
     return h, _validate_bandwidth(g, "g")
 
 
-def _region_inputs(sample, x0, h, g, plan, grid, estimator, support, resamples):
-    """Pilot, bootstrap curves, centre and the time bandwidth used (None for beran)."""
+def _region(methods, sample, x0s, h, plan, grid, alpha=0.05, g=None, estimator="beran", support=None,
+            resamples=None) -> dict:
+    """Regions of each method at each x0, {method: [region per x0]}, from one batch of resamples.
+
+    Each region is estimate +- lambda* scale, clamped into [0, 1].  The scale
+    is sigma* for method 1 and one for method 2.  With scale one the
+    deviations are divided by one and lambda* multiplies one, both exactly,
+    so method 2's lambda* is the sup-norm radius rho* of method2_radius.  At
+    each x0 the bootstrap curves, pilot and centre serve every method.
+    """
     # estimator tags and resampling scheme names are the same strings
     if plan.scheme != estimator:
         raise ValueError(f"{estimator!r} regions require a {estimator!r}-scheme plan, got {plan.scheme!r}")
     h, g = _region_bandwidths(estimator, h, g)
-    resamples = _resamples_or_generate(sample, plan, support, resamples)
-    curves, ok = _CurveBatch(resamples, grid.points, support).values(x0, h, g)
-    if not ok.all():
-        raise DegenerateWeightsError("a bootstrap curve degenerated at the requested bandwidth")
-    pilot = _pilot_values(sample, x0, plan, grid.points, support)
-    center = _single_curve(sample, x0, h, grid.points, support, g)
-    return pilot, curves, center, g
-
-
-def _region(method, sample, x0, h, plan, grid, alpha=0.05, g=None, estimator="beran", support=None,
-            resamples=None) -> ConfidenceRegion:
-    """Region of method 1 or 2: estimate +- lambda* scale, clamped into [0, 1].
-
-    The scale is sigma* for method 1 and one for method 2.  With scale one the
-    deviations are divided by one and lambda* multiplies one, both exactly, so
-    method 2's lambda* is the sup-norm radius rho* of method2_radius.
-    """
-    pilot, curves, center, g = _region_inputs(sample, x0, h, g, plan, grid, estimator, support, resamples)
-    sigma = bootstrap_sigma(curves) if method == 1 else None
-    scale = sigma if method == 1 else np.ones(grid.n_points)
-    lam = calibrate_lambda(pilot, curves, scale, alpha)
-    region = ConfidenceRegion(
-        grid=grid,
-        lower=center - lam * scale,
-        upper=center + lam * scale,
-        estimate=center,
-        method=f"method{method}",
-        estimator_tag=estimator,
-        level=1.0 - alpha,
-        calibration=lam,
-        x0=float(x0),
-        h=float(h),
-        g=None if g is None else float(g),
-        sigma_star=sigma,
-        seed=plan.seed,
-    )
-    return clamp_and_plateau_fix(region)
+    batch = _CurveBatch(_resamples_or_generate(sample, plan, support, resamples), grid.points, support)
+    regions: dict = {method: [] for method in methods}
+    for x0 in x0s:
+        curves, ok = batch.values(x0, [(h, g)])[0]
+        if not ok.all():
+            raise DegenerateWeightsError("a bootstrap curve degenerated at the requested bandwidth")
+        pilot = _pilot_values(sample, x0, plan, grid.points, support)
+        center = _single_curve(sample, x0, h, grid.points, support, g)
+        for method, found in regions.items():
+            sigma = bootstrap_sigma(curves) if method == 1 else None
+            scale = sigma if method == 1 else np.ones(grid.n_points)
+            lam = calibrate_lambda(pilot, curves, scale, alpha)
+            region = ConfidenceRegion(grid=grid, lower=center - lam * scale, upper=center + lam * scale,
+                                      estimate=center, method=f"method{method}", estimator_tag=estimator,
+                                      level=1.0 - alpha, calibration=lam, x0=float(x0), h=h, g=g,
+                                      sigma_star=sigma, seed=plan.seed)
+            found.append(clamp_and_plateau_fix(region))
+    return regions
 
 
 def region_method1(
@@ -220,7 +209,7 @@ def region_method1(
     resamples=None,
 ) -> ConfidenceRegion:
     """Variance-scaled envelope: estimate +- lambda* sigma*(t|x0), lambda* an exact order statistic."""
-    return _region(1, sample, x0, h, plan, grid, alpha, g, estimator, support, resamples)
+    return _region((1,), sample, (x0,), h, plan, grid, alpha, g, estimator, support, resamples)[1][0]
 
 
 def method2_radius(pilot_values, curves, grid: TimeGrid, alpha: float) -> float:
@@ -245,7 +234,7 @@ def region_method2(
     resamples=None,
 ) -> ConfidenceRegion:
     """Sup-norm ball region: estimate +- rho*, constant width before clamping."""
-    return _region(2, sample, x0, h, plan, grid, alpha, g, estimator, support, resamples)
+    return _region((2,), sample, (x0,), h, plan, grid, alpha, g, estimator, support, resamples)[2][0]
 
 
 def write_region_csv(region: ConfidenceRegion, csv_path, sidecar_path=None, extra=None) -> None:

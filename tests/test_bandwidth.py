@@ -181,10 +181,15 @@ class TestRiemannRule:
         assert abs(b - a) / a <= 0.01
 
 
+def _each(objective):
+    """The level objective of _minimize that evaluates `objective` at each point."""
+    return lambda points: [objective(*point) for point in points]
+
+
 class TestMinimizers:
     def test_grid_parabola_middle_point(self):
         trace = []
-        best, _ = _minimize(lambda h: (h - 0.5) ** 2, ((0.0001, 1.0),), "grid", 3, trace)
+        best, _ = _minimize(_each(lambda h: (h - 0.5) ** 2), ((0.0001, 1.0),), "grid", 3, trace)
         assert best == pytest.approx(0.50005, abs=1e-12)
         assert len(trace) == 3
 
@@ -192,7 +197,7 @@ class TestMinimizers:
         a, b = 0.4, 0.7
         trace = []
         h, g, _ = _minimize(
-            lambda x, y: (x - a) ** 2 + (y - b) ** 2,
+            _each(lambda x, y: (x - a) ** 2 + (y - b) ** 2),
             ((0.1, 1.0), (0.1, 1.0)), "grid", 4, trace,
         )
         assert h == pytest.approx(0.4, abs=1e-12)
@@ -201,7 +206,7 @@ class TestMinimizers:
 
     def test_multistart_on_smooth_objective(self):
         trace = []
-        best, _ = _minimize(lambda h: (h - 0.37) ** 2, ((0.01, 2.0),), "multistart", 0, trace)
+        best, _ = _minimize(_each(lambda h: (h - 0.37) ** 2), ((0.01, 2.0),), "multistart", 0, trace)
         assert best == pytest.approx(0.37, abs=1e-4)
 
     @pytest.mark.parametrize("objective", [
@@ -212,7 +217,7 @@ class TestMinimizers:
     def test_multistart_is_deterministic_and_stays_in_the_box(self, objective):
         boxes = ((0.05, 1.3), (0.02, 0.9))
         traces = ([], [])
-        results = [_minimize(objective, boxes, "multistart", 0, trace) for trace in traces]
+        results = [_minimize(_each(objective), boxes, "multistart", 0, trace) for trace in traces]
         assert results[0] == results[1] and traces[0] == traces[1]
         points = np.array(traces[0])[:, :2]
         lo, hi = np.array(boxes).T
@@ -228,12 +233,12 @@ class TestMinimizers:
             return float(-np.exp(-np.sum((p - local) ** 2) / 0.1)
                          - 1.5 * np.exp(-np.sum((p - deep) ** 2) / 0.03))
 
-        best = _minimize(two_wells, ((0.05, 2.0), (0.01, 1.0))[:dims], "multistart", 0, [])
+        best = _minimize(_each(two_wells), ((0.05, 2.0), (0.01, 1.0))[:dims], "multistart", 0, [])
         assert np.allclose(best[:-1], deep, rtol=0, atol=1e-3)
 
     def test_all_infinite_raises(self):
         with pytest.raises(SelectionFailedError):
-            _minimize(lambda h: float("inf"), ((0.01, 1.0),), "grid", 4, [])
+            _minimize(_each(lambda h: float("inf")), ((0.01, 1.0),), "grid", 4, [])
 
 
 class TestSelection:
@@ -348,8 +353,50 @@ class TestSelection:
         # one computation per grid h, plus the pilot curve's at pilot_r
         assert sorted(calls) == sorted([*(float(h) for h in np.linspace(*box_h, 32)), plan.pilot_r])
 
+    @pytest.mark.parametrize("seed", [9, 10])
+    def test_2d_multistart_computes_each_h_jump_masses_once(self, monkeypatch, seed):
+        calls = []
+        original = _CurveBatch._jump_masses
+
+        def counted(batch, x0, h):
+            if batch.B > 1:  # not the pilot curve's batch of one
+                calls.append(h)
+            return original(batch, x0, h)
+
+        monkeypatch.setattr(_CurveBatch, "_jump_masses", counted)
+        sel = self._search_2d(seed)[-1]
+        assert sorted(calls) == sorted({entry[0] for entry in sel.objective_trace})
+
+    def test_a_full_tensor_budget_frees_a_tensor_before_building_one(self, monkeypatch):
+        import gc
+        import weakref
+
+        import condsurv.estimators as estimators
+
+        s, plan, grid, rs, sel = self._search_2d(9)
+        probe = _CurveBatch(rs, grid.points)
+        probe.values(0.5, [(0.3, 0.1)])
+        monkeypatch.setattr(estimators, "_TENSOR_CACHE_BYTES", 2 * next(iter(probe._tensors.values())).nbytes)
+        built = []
+        original = _CurveBatch._ik_tensor
+
+        def tracked(batch, g):
+            if batch.B == 1:  # the pilot curve's batch
+                return original(batch, g)
+            gc.collect()
+            assert sum(ref() is not None for ref in built) <= 1
+            tensor = original(batch, g)
+            built.append(weakref.ref(tensor))
+            return tensor
+
+        monkeypatch.setattr(_CurveBatch, "_ik_tensor", tracked)
+        again = select_bandwidth_2d(s, 0.5, default_covariate_box(s), default_time_box(s), plan, grid,
+                                    resamples=rs)
+        assert again.objective_trace == sel.objective_trace
+        assert again.search["tensor_builds"] > sel.search["tensor_builds"]
+
     def test_2d_grid_beyond_the_default_cache_computes_each_h_once(self, monkeypatch):
-        # a 33-point h axis does not fit the default 32-entry jump-mass cache
+        # a 33-point h axis: each h recurs once per g within the one mesh level
         calls = []
         original = _CurveBatch._jump_masses
 
@@ -374,8 +421,8 @@ class TestSelection:
         pilot = _pilot_values(s, 0.5, plan, grid.points, None)
         warm = _CurveBatch(rs, grid.points)
         for h, g, value in sel.objective_trace:
-            cold_values, cold_ok = _CurveBatch(rs, grid.points).values(0.5, h, g)
-            warm.values(0.5, h, 1.5 * g)  # the per-h part is now cached
-            warm_values, warm_ok = warm.values(0.5, h, g)
+            cold_values, cold_ok = _CurveBatch(rs, grid.points).values(0.5, [(h, g)])[0]
+            warm.values(0.5, [(h, 1.5 * g)])  # the per-h part is now cached
+            warm_values, warm_ok = warm.values(0.5, [(h, g)])[0]
             assert np.array_equal(warm_values, cold_values) and np.array_equal(warm_ok, cold_ok)
             assert _mean_integrated_sq(cold_values, cold_ok, pilot, grid.cell_widths) == value

@@ -226,6 +226,52 @@ class TestRunBenchmark:
         assert report.incomplete
         assert report.samples_completed < 3
 
+    def test_budget_bounds_the_ground_truth_search(self, monkeypatch):
+        import condsurv.benchmark as benchmark
+
+        evaluated = []
+        original = benchmark._mean_integrated_sq
+
+        def counted(*args):
+            evaluated.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(benchmark, "_mean_integrated_sq", counted)
+        config = BenchConfig(
+            model="model1", censoring=0.2, estimator="smoothed-beran", mode="bandwidth",
+            n=20, n_samples=3, B=2, n_grid=10, seed=5, strategy="grid", grid_size=3,
+            mise_samples=3, mise_grid=4, budget_seconds=1e-9,
+        )
+        report = run_benchmark(config)
+        assert len(evaluated) <= 1
+        assert report.incomplete and report.samples_completed == 0
+        assert report.h_mise is None and report.g_mise is None
+
+    def test_region_task_draws_one_batch_for_both_methods(self, monkeypatch):
+        import condsurv.regions as regions
+        from condsurv.benchmark import _region_task
+        from condsurv.estimators import _CurveBatch
+        from condsurv.samples import TimeGrid
+        from condsurv.simulation import make_model
+
+        sizes = []
+
+        class Counted(_CurveBatch):
+            def __init__(self, samples, *rest):
+                samples = list(samples)
+                sizes.append(len(samples))
+                super().__init__(samples, *rest)
+
+        monkeypatch.setattr(regions, "_CurveBatch", Counted)
+        config = BenchConfig(
+            model="model1", censoring=0.2, estimator="smoothed-beran", mode="regions",
+            n=40, n_samples=1, B=6, n_grid=10, seed=3, bandwidth_h=0.3, bandwidth_g=0.1,
+        )
+        model = make_model(config.model, config.censoring)
+        found = _region_task(config, model, TimeGrid.uniform(model.t_max, config.n_grid), 0.3, 0.1, 0)
+        assert set(found) == {1, 2}
+        assert sizes.count(config.B) == 1
+
     def test_worker_count_invariance(self):
         base = dict(
             model="model1", censoring=0.2, estimator="beran", mode="bandwidth",

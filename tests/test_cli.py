@@ -404,6 +404,27 @@ class TestSharedResamples:
             "saturated_time_draws", "saturated_censoring_draws", "retried_draws"
         }
 
+    def test_smoothed_region_builds_the_bootstrap_tensor_once(self, tmp_path, monkeypatch):
+        # one batch serves every x0; the pilot and the centre stay batches of one per x0
+        from condsurv.estimators import _CurveBatch
+
+        rows = []
+        original = _CurveBatch._ik_tensor
+
+        def counted(batch, g):
+            rows.append(batch.B)
+            return original(batch, g)
+
+        monkeypatch.setattr(_CurveBatch, "_ik_tensor", counted)
+        code = main([
+            "region", "--data", _model_csv(tmp_path), "--method", "1", "--estimator", "smoothed-beran",
+            "--x0", "0.4,0.5,0.6", "--h", "0.25", "--g", "0.1", "--B", "12", "--seed", "5",
+            "--n-grid", "15", "--support", "0,1", "--out", str(tmp_path / "r"),
+        ])
+        assert code == 0
+        assert rows.count(12) == 1
+        assert len(rows) == 7
+
     def test_resample_calls_per_command(self, tmp_path, monkeypatch):
         import condsurv.bandwidth
         import condsurv.cli
