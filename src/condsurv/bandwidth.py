@@ -10,6 +10,7 @@ re-evaluating the objective at the same point returns the identical value.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,7 +134,7 @@ def _bootstrap_mise(sample, x0, bandwidths, plan, grid, support, resamples) -> f
     rs = _resamples_or_generate(sample, plan, support, resamples)
     batch = _CurveBatch(rs, grid.points, support)
     pilot = _pilot_values(sample, x0, plan, grid.points, support)
-    values, ok = batch.values(x0, [tuple(float(b) for b in bandwidths)])[0]
+    values, ok = batch.values([(x0, tuple(float(b) for b in bandwidths))])[0]
     return _mean_integrated_sq(values, ok, pilot, grid.cell_widths)
 
 
@@ -181,81 +182,114 @@ def _validate_boxes(boxes) -> tuple:
 
 
 def _best_traced(trace) -> tuple:
-    finite = [entry for entry in trace if np.isfinite(entry[-1])]
+    finite = [entry for entry in trace if math.isfinite(entry[-1])]
     if not finite:
         raise SelectionFailedError("objective was non-finite everywhere in the search box")
     return min(finite, key=lambda entry: entry[-1])
 
 
-def _minimize(objective, boxes, strategy, grid_size, trace) -> tuple:
-    """Minimize an objective over one or two search intervals.
+def _levels(boxes, strategy, grid_size, trace):
+    """Yield the unseen points of each mesh level of a search, each (h,) or (h, g).
 
-    `objective` maps the list of a mesh level's unseen points, each (h,) or
-    (h, g) with g as the outer loop, to the list of their values.  Every
-    evaluation is appended to `trace` as (h[, g], value), and the best
-    finite entry is returned.  "grid" evaluates the grid_size-point mesh as
-    one level.  "multistart" is a deterministic mesh-and-zoom search: a
-    16-point mesh per axis, then 12 levels of a 5-point mesh per axis over
-    one cell either side of the best finite point so far, clipped to the
-    box, each level halving the cell and skipping points already evaluated.
-    Its last spacing is 1/61440 of each interval.
+    Points come with g as the outer loop.  Before it asks for the next level
+    the caller appends (h[, g], value) to `trace` for every point yielded.
+    "grid" yields the grid_size-point mesh as its one level.  "multistart"
+    is a deterministic mesh-and-zoom search: a 16-point mesh per axis, then
+    12 levels of a 5-point mesh per axis over one cell either side of the
+    best finite point so far, clipped to the box, each level halving the
+    cell.  Points already yielded are skipped; the last spacing is 1/61440
+    of each interval.  Every search of a strategy yields the same number of
+    levels.
     """
+    seen: set = set()
 
-    seen: dict = {}
-
-    def visit(axes):
-        # the mesh of `axes` (h first) with g as the outer loop, skipping points seen
+    def unseen(axes) -> list:
+        # the mesh of `axes` (h first) with g as the outer loop, less the points seen
         mesh = (tuple(float(v) for v in outer_first[::-1]) for outer_first in itertools.product(*reversed(axes)))
         points = [point for point in dict.fromkeys(mesh) if point not in seen]
-        if points:
-            for point, value in zip(points, objective(points), strict=True):
-                seen[point] = float(value)
-                trace.append((*point, seen[point]))
+        seen.update(points)
+        return points
 
     if strategy == "grid":
         if grid_size < 1:
             raise ValueError(f"a grid search needs at least one point per axis, got grid_size={grid_size!r}")
-        visit([np.linspace(lo, hi, grid_size) for lo, hi in boxes])
+        yield unseen([np.linspace(lo, hi, grid_size) for lo, hi in boxes])
     elif strategy == "multistart":
         # candidates are integer steps of one lattice, so a point met again is recognized
         top = (_COARSE_POINTS - 1) << _ZOOM_LEVELS
         cell = 1 << _ZOOM_LEVELS
         steps = [range(0, top + 1, cell)] * len(boxes)
         for _ in range(_ZOOM_LEVELS + 1):
-            visit([[min(hi, lo + (hi - lo) * k / top) for k in ks] for ks, (lo, hi) in zip(steps, boxes)])
+            yield unseen([[min(hi, lo + (hi - lo) * k / top) for k in ks] for ks, (lo, hi) in zip(steps, boxes)])
             best = [round((v - lo) / (hi - lo) * top) for v, (lo, hi) in zip(_best_traced(trace), boxes)]
             steps = [sorted({min(max(k + j * cell // 2, 0), top) for j in range(-2, 3)}) for k in best]
             cell //= 2
     else:
         raise ValueError(f"unknown strategy: {strategy!r}")
+
+
+def _minimize(objective, boxes, strategy, grid_size, trace) -> tuple:
+    """Minimize an objective over one or two search intervals by the search of `_levels`.
+
+    `objective` maps the list of a level's unseen points to the list of
+    their values.  Every evaluation is appended to `trace` as
+    (h[, g], value), and the best finite entry is returned.
+    """
+    for points in _levels(boxes, strategy, grid_size, trace):
+        trace.extend((*point, float(value)) for point, value in zip(points, objective(points), strict=True))
     return _best_traced(trace)
 
 
-def _select(sample, x0, boxes, plan, grid, strategy, grid_size, support, resamples) -> BandwidthSelection:
-    """Bootstrap MISE minimization over h alone (one box) or over (h, g) (two boxes)."""
+def _select(sample, x0s, boxes, plan, grid, strategy, grid_size, support, resamples) -> list:
+    """Bootstrap MISE minimization over h alone (one box) or over (h, g) (two boxes), at each x0.
+
+    The searches share one batch and run level by level in lockstep: each
+    level's unseen points of every x0 go to one engine call, grouped by g in
+    order of first appearance, so each g's tensor serves every x0 that needs
+    it.  Curves do not depend on what is evaluated beside them, so each x0's
+    trace and bandwidths are those of a search at that x0 alone.  Each
+    tensor build is charged to the first x0, in the order given, whose
+    points need that g: the `tensor_builds` counts sum to the builds made.
+    """
     _check_scheme(plan, len(boxes), f"select_bandwidth_{len(boxes)}d")
     boxes = _validate_boxes(boxes)
-    pilot = _pilot_values(sample, x0, plan, grid.points, support)
+    x0s = [float(x0) for x0 in x0s]
+    pilots = {x0: _pilot_values(sample, x0, plan, grid.points, support) for x0 in x0s}
     widths = grid.cell_widths
     batch = _CurveBatch(_resamples_or_generate(sample, plan, support, resamples), grid.points, support)
 
-    def objective(points) -> list:
-        return batch.values(x0, points, lambda values, ok: _mean_integrated_sq(values, ok, pilot, widths))
+    def mise(x0, values, ok) -> float:
+        return _mean_integrated_sq(values, ok, pilots[x0], widths)
 
-    trace: list = []
-    best = _minimize(objective, boxes, strategy, grid_size, trace)
-    return BandwidthSelection(
-        h_star=best[0],
-        g_star=best[1] if len(boxes) == 2 else None,
-        search_box=boxes,
-        objective_trace=trace,
-        B=plan.B,
-        seed=plan.seed,
-        pilot_r=plan.pilot_r,
-        pilot_s=plan.pilot_s,
-        search={"objective_evals": len(trace), "tensor_builds": batch.tensor_builds,
-                "nonfinite_evals": sum(not np.isfinite(entry[-1]) for entry in trace)},
-    )
+    traces: list = [[] for _ in x0s]
+    for levels in zip(*(_levels(boxes, strategy, grid_size, trace) for trace in traces)):
+        queries = [(x0, point) for x0, points in zip(x0s, levels) for point in points]
+        rank: dict = {}
+        for _, point in queries:
+            rank.setdefault(point[1:], len(rank))  # (g,), or () for every point of a 1-D search
+        order = sorted(range(len(queries)), key=lambda i: rank[queries[i][1][1:]])
+        values = [0.0] * len(queries)
+        for i, value in zip(order, batch.values([queries[i] for i in order], mise), strict=True):
+            values[i] = value
+        per_x0 = iter(values)
+        for trace, points in zip(traces, levels):
+            trace.extend((*point, float(value)) for point, value in zip(points, per_x0))
+    selections = []
+    for x0, trace in zip(x0s, traces):
+        best = _best_traced(trace)
+        selections.append(BandwidthSelection(
+            h_star=best[0],
+            g_star=best[1] if len(boxes) == 2 else None,
+            search_box=boxes,
+            objective_trace=trace,
+            B=plan.B,
+            seed=plan.seed,
+            pilot_r=plan.pilot_r,
+            pilot_s=plan.pilot_s,
+            search={"objective_evals": len(trace), "tensor_builds": batch.tensor_builds[x0],
+                    "nonfinite_evals": sum(not math.isfinite(entry[-1]) for entry in trace)},
+        ))
+    return selections
 
 
 def select_bandwidth_1d(
@@ -272,11 +306,11 @@ def select_bandwidth_1d(
     """Minimize the bootstrap MISE of Beran's estimator over a bandwidth interval.
 
     Strategies: "grid" evaluates `grid_size` equispaced candidates;
-    "multistart" runs the deterministic mesh-and-zoom search of `_minimize`
+    "multistart" runs the deterministic mesh-and-zoom search of `_levels`
     (16 candidates, then 12 zoom levels, no gradients) and keeps the best
     evaluation seen.
     """
-    return _select(sample, x0, (box,), plan, grid, strategy, grid_size, support, resamples)
+    return _select(sample, [x0], (box,), plan, grid, strategy, grid_size, support, resamples)[0]
 
 
 def select_bandwidth_2d(
@@ -294,7 +328,7 @@ def select_bandwidth_2d(
     """Minimize the bootstrap MISE of the smoothed estimator over a search box.
 
     The "grid" strategy uses a grid_size x grid_size mesh; "multistart" runs
-    the mesh-and-zoom search of `_minimize` from a 16 x 16 mesh.  `search`
+    the mesh-and-zoom search of `_levels` from a 16 x 16 mesh.  `search`
     counts the evaluations, the non-finite ones and the tensor builds.
     """
-    return _select(sample, x0, (box_h, box_g), plan, grid, strategy, grid_size, support, resamples)
+    return _select(sample, [x0], (box_h, box_g), plan, grid, strategy, grid_size, support, resamples)[0]

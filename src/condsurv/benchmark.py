@@ -141,6 +141,7 @@ class BenchReport:
     bandwidth_metrics: BandwidthMetrics | None = None
     h_stars: list | None = None
     g_stars: list | None = None
+    search: dict | None = None  # bandwidth mode: the selections' search counts, summed
     region_metrics_by_method: dict | None = None
     bandwidth_h: float | None = None
     bandwidth_g: float | None = None
@@ -176,7 +177,8 @@ def _mise_function(model, grid, n_samples, n, seed):
     batch = _CurveBatch(samples, grid.points, model.support)
     truth = np.asarray(model.true_survival(grid.points, model.x0))
     return lambda points: batch.values(
-        model.x0, points, lambda values, ok: _mean_integrated_sq(values, ok, truth, grid.cell_widths))
+        ((model.x0, point) for point in points),
+        lambda _, values, ok: _mean_integrated_sq(values, ok, truth, grid.cell_widths))
 
 
 def _until(deadline: float | None, points):
@@ -303,7 +305,8 @@ def _select_task(config, model, grid, boxes, j):
     sample = generate_sample(model, config.n, substream(config.seed, 0, j))
     plan = _resampling_plan(config.estimator, sample, model.pilot_c, child_seed(config.seed, 1, j),
                             config.B)
-    return _select(sample, model.x0, boxes, plan, grid, config.strategy, config.grid_size, model.support, None)
+    return _select(sample, [model.x0], boxes, plan, grid, config.strategy, config.grid_size, model.support,
+                   None)[0]
 
 
 def _region_task(config, model, grid, h, g, j):
@@ -392,6 +395,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         report.incomplete = incomplete
         report.samples_completed = len(selections)
         report.h_mise, report.g_mise, report.rmise_at_optimal = h_mise, g_mise, rmise_opt
+        report.search = {key: sum(s.search[key] for s in selections)
+                         for key in ("objective_evals", "nonfinite_evals", "tensor_builds")}
         if selections:
             mise_at = _mise_function(model, grid, config.mise_samples, config.n, child_seed(config.seed, 5))
             rmise_selected = [float(np.sqrt(mise_at([(s.h_star, s.g_star)])[0])) for s in selections]

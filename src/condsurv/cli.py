@@ -332,10 +332,11 @@ def _cmd_select_bandwidth(args) -> int:
         "resampling": asdict(diagnostics),
         "version": __version__,
     }
-    for x0, stem in zip(args.x0, stems):
-        selection = _select(sample, x0, boxes, plan, grid, args.strategy, args.grid_size, args.support,
-                            resamples)
-        _write_json(f"{stem}.json", asdict(selection) | run_meta | {"x0": x0})
+    selections = _select(sample, args.x0, boxes, plan, grid, args.strategy, args.grid_size, args.support,
+                         resamples)
+    for x0, stem, selection in zip(args.x0, stems, selections):
+        # a shallow copy: asdict would deep-copy every trace entry only to serialize it
+        _write_json(f"{stem}.json", vars(selection) | run_meta | {"x0": x0})
     return EXIT_OK
 
 

@@ -14,6 +14,7 @@ negligible and 0 otherwise (the curve absorbs at zero).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -141,42 +142,53 @@ class _CurveBatch:
         self._atoms = None
         self._masses: dict = {}
         self._tensors: dict = {}
-        self.tensor_builds = 0
+        self.tensor_builds: Counter = Counter()  # integrated-kernel tensors built, by the x0 that needed them
 
-    def values(self, x0: float, points, reduce=lambda values, ok: (values, ok)) -> list:
-        """reduce(values, ok) of the curves at x0 at each bandwidth point, in a list.
+    def values(self, queries, reduce=lambda x0, values, ok: (values, ok)) -> list:
+        """reduce(x0, values, ok) of the curves of each query (x0, point), in a list.
 
         `values` has one row per sample and `ok` marks the rows with kernel
         mass.  A point (h,) or (h, None) gives Beran step curves; (h, g)
-        smooths their jumps in time at scale g.  `reduce` runs per point, so
-        the list need not hold every curve.  Each h's jump masses and each g's
-        integrated-kernel tensor are computed once per call; what the previous
-        call computed is reused when it recurs, bit for bit, and the rest is
-        dropped when this call ends.
+        smooths their jumps in time at scale g.  `reduce` runs per query, so
+        the list need not hold every curve.  Queries are evaluated in the
+        order given, each by its own einsum, so a value does not depend on
+        the queries beside it.  Each (x0, h)'s jump masses are computed once
+        per call, and so is each g's integrated-kernel tensor when the
+        queries come grouped by g.  What the previous call computed is reused
+        when it recurs, bit for bit; before this call builds a tensor it
+        drops the held tensors whose g it does not use, and the masses it did
+        not use go when it ends.  To see its g values first, a call that
+        holds tensors reads all its queries before it evaluates one; on a
+        fresh batch they are read one at a time, as they are evaluated.
         """
-        x0 = float(x0)
+        if self._tensors:
+            queries = list(queries)
+            used = {float(point[1]) for _, point in queries if len(point) > 1 and point[1] is not None}
+            self._tensors = {g: tensor for g, tensor in self._tensors.items() if g in used}
         masses, tensors, out = {}, {}, []
-        for point in points:
+        for x0, point in queries:
+            x0 = float(x0)
             h, g = (*point, None)[:2]
             if g is None:
                 w, ok = _query_weights(self._x_kern, self._folded, x0, h, self._kfn)
-                out.append(reduce(self._grid_values(w), ok))
+                out.append(reduce(x0, self._grid_values(w), ok))
                 continue
             key = (x0, float(h))
             if key not in masses:
                 masses[key] = self._masses.pop(key) if key in self._masses else self._jump_masses(x0, h)
             ok, agg = masses[key]
-            vals = 1.0 - np.einsum("ktu,ku->kt", self._tensor(float(g), tensors), agg)
+            vals = 1.0 - np.einsum("ktu,ku->kt", self._tensor(float(g), tensors, x0), agg)
             np.clip(vals, 0.0, 1.0, out=vals)
-            out.append(reduce(vals, ok))
+            out.append(reduce(x0, vals, ok))
         self._masses, self._tensors = masses, tensors
         return out
 
-    def _tensor(self, g: float, tensors: dict) -> np.ndarray:
+    def _tensor(self, g: float, tensors: dict, x0: float) -> np.ndarray:
         """The tensor at g, moved to the end of this call's `tensors`.
 
         A tensor is built only after the least recently used one has gone, if
         the byte budget is full: the previous call's first, then this call's.
+        A build is charged to `x0` in `tensor_builds`.
         """
         tensor = tensors.pop(g) if g in tensors else self._tensors.pop(g, None)
         if tensor is None:
@@ -184,6 +196,7 @@ class _CurveBatch:
                 oldest = self._tensors or tensors
                 del oldest[next(iter(oldest))]
             tensor = self._ik_tensor(g)
+            self.tensor_builds[x0] += 1
         tensors[g] = tensor
         return tensor
 
@@ -226,17 +239,18 @@ class _CurveBatch:
         self._event_idx = event_idx
         self._starts = starts
         self._atoms = atoms
+        self._offsets = self.points[None, :, None] - atoms[:, None, :]  # each tensor is IK(offsets / g)
         self._ikfn = kernels._cdf()
         self._tensor_slots = max(1, _TENSOR_CACHE_BYTES // (8 * atoms.size * self.points.size))
 
     def _ik_tensor(self, g: float) -> np.ndarray:
-        self.tensor_builds += 1
-        return self._ikfn((self.points[None, :, None] - self._atoms[:, None, :]) / float(g))
+        tensor = np.divide(self._offsets, float(g))
+        return self._ikfn(tensor, out=tensor)
 
 
 def _single_curve(sample, x0, h, points, support, g=None) -> np.ndarray:
     """Values of one curve, evaluated as a batch of one."""
-    values, ok = _CurveBatch([sample], points, support).values(x0, [(h, g)])[0]
+    values, ok = _CurveBatch([sample], points, support).values([(x0, (h, g))])[0]
     if not ok[0]:
         raise DegenerateWeightsError(
             f"all kernel weights vanish at x0={x0!r} with bandwidth h={h!r}"

@@ -179,7 +179,7 @@ def _region(methods, sample, x0s, h, plan, grid, alpha=0.05, g=None, estimator="
     batch = _CurveBatch(_resamples_or_generate(sample, plan, support, resamples), grid.points, support)
     regions: dict = {method: [] for method in methods}
     for x0 in x0s:
-        curves, ok = batch.values(x0, [(h, g)])[0]
+        curves, ok = batch.values([(x0, (h, g))])[0]
         if not ok.all():
             raise DegenerateWeightsError("a bootstrap curve degenerated at the requested bandwidth")
         pilot = _pilot_values(sample, x0, plan, grid.points, support)

@@ -375,7 +375,7 @@ class TestSelection:
 
         s, plan, grid, rs, sel = self._search_2d(9)
         probe = _CurveBatch(rs, grid.points)
-        probe.values(0.5, [(0.3, 0.1)])
+        probe.values([(0.5, (0.3, 0.1))])
         monkeypatch.setattr(estimators, "_TENSOR_CACHE_BYTES", 2 * next(iter(probe._tensors.values())).nbytes)
         built = []
         original = _CurveBatch._ik_tensor
@@ -394,6 +394,41 @@ class TestSelection:
                                     resamples=rs)
         assert again.objective_trace == sel.objective_trace
         assert again.search["tensor_builds"] > sel.search["tensor_builds"]
+
+    def test_a_level_drops_the_tensors_it_does_not_use_before_it_builds(self, monkeypatch):
+        import gc
+        import weakref
+
+        from condsurv.bandwidth import _select
+
+        s, plan, grid, rs, _ = self._search_2d(9)
+        level: dict = {}
+        built = []  # (g, weak reference to the tensor)
+        checked = []  # the tensors alive at each level's first build
+        original_values, original_build = _CurveBatch.values, _CurveBatch._ik_tensor
+
+        def values(batch, queries, *rest):
+            if batch.B > 1:
+                queries = list(queries)
+                level.update(g={point[1] for _, point in queries}, first=True)
+            return original_values(batch, queries, *rest)
+
+        def tracked(batch, g):
+            if batch.B > 1 and level.pop("first", False):
+                gc.collect()
+                alive = [held for held, ref in built if ref() is not None]
+                assert set(alive) <= level["g"]
+                checked.append(alive)
+            tensor = original_build(batch, g)
+            if batch.B > 1:
+                built.append((g, weakref.ref(tensor)))
+            return tensor
+
+        monkeypatch.setattr(_CurveBatch, "values", values)
+        monkeypatch.setattr(_CurveBatch, "_ik_tensor", tracked)
+        _select(s, [0.3, 0.5, 0.7], (default_covariate_box(s), default_time_box(s)), plan, grid,
+                "multistart", 20, None, rs)
+        assert len(checked) > 1 and any(checked)  # later levels build while reused tensors are held
 
     def test_2d_grid_beyond_the_default_cache_computes_each_h_once(self, monkeypatch):
         # a 33-point h axis: each h recurs once per g within the one mesh level
@@ -421,8 +456,8 @@ class TestSelection:
         pilot = _pilot_values(s, 0.5, plan, grid.points, None)
         warm = _CurveBatch(rs, grid.points)
         for h, g, value in sel.objective_trace:
-            cold_values, cold_ok = _CurveBatch(rs, grid.points).values(0.5, [(h, g)])[0]
-            warm.values(0.5, [(h, 1.5 * g)])  # the per-h part is now cached
-            warm_values, warm_ok = warm.values(0.5, [(h, g)])[0]
+            cold_values, cold_ok = _CurveBatch(rs, grid.points).values([(0.5, (h, g))])[0]
+            warm.values([(0.5, (h, 1.5 * g))])  # the per-h part is now cached
+            warm_values, warm_ok = warm.values([(0.5, (h, g))])[0]
             assert np.array_equal(warm_values, cold_values) and np.array_equal(warm_ok, cold_ok)
             assert _mean_integrated_sq(cold_values, cold_ok, pilot, grid.cell_widths) == value

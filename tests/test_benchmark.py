@@ -183,6 +183,22 @@ class TestRunBenchmark:
         table = (tmp_path / "bandwidth_table.csv").read_text().splitlines()
         assert table[0] == "metric,value"
 
+    @pytest.mark.parametrize("estimator, evals, builds", [("beran", 3, 0), ("smoothed-beran", 9, 3)])
+    def test_bandwidth_report_sums_the_search_counts(self, tmp_path, estimator, evals, builds):
+        config = BenchConfig(
+            model="model1", censoring=0.2, estimator=estimator, mode="bandwidth",
+            n=20, n_samples=2, B=2, n_grid=10, seed=5,
+            strategy="grid", grid_size=3, mise_samples=3, mise_grid=3,
+        )
+        report = run_benchmark(config)
+        assert report.samples_completed == 2
+        # a grid of 3 points per axis: 3 or 9 evaluations and one tensor per g, per sample
+        assert report.search["objective_evals"] == 2 * evals
+        assert report.search["tensor_builds"] == 2 * builds
+        assert 0 <= report.search["nonfinite_evals"] <= report.search["objective_evals"]
+        write_report(report, tmp_path)
+        assert json.loads((tmp_path / "report.json").read_text())["search"] == report.search
+
     def test_regions_smoke(self, tmp_path):
         config = BenchConfig(
             model="model1", censoring=0.2, estimator="beran", mode="regions",

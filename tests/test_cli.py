@@ -425,6 +425,35 @@ class TestSharedResamples:
         assert rows.count(12) == 1
         assert len(rows) == 7
 
+    def test_smoothed_multistart_selection_multi_x0_equals_single_runs(self, tmp_path, monkeypatch):
+        # the searches share each level's tensors; only the build counter tells the runs apart
+        from condsurv.estimators import _CurveBatch
+
+        rows = []
+        original = _CurveBatch._ik_tensor
+
+        def counted(batch, g):
+            rows.append(batch.B)
+            return original(batch, g)
+
+        monkeypatch.setattr(_CurveBatch, "_ik_tensor", counted)
+        flags = ["select-bandwidth", "--data", _model_csv(tmp_path), "--estimator", "smoothed-beran",
+                 "--B", "6", "--seed", "3", "--n-grid", "15", "--support", "0,1"]
+        tags = ("0p3", "0p45", "0p6")
+        assert main([*flags, "--x0", "0.3,0.45,0.6", "--out", str(tmp_path / "all")]) == 0
+        shared = rows.count(6)
+        rows.clear()
+        for x0 in ("0.3", "0.45", "0.6"):
+            assert main([*flags, "--x0", x0, "--out", str(tmp_path / "one")]) == 0
+        alone = rows.count(6)
+        together = {tag: json.loads((tmp_path / f"all_x{tag}.json").read_text()) for tag in tags}
+        apart = {tag: json.loads((tmp_path / f"one_x{tag}.json").read_text()) for tag in tags}
+        builds = [payload["search"].pop("tensor_builds") for payload in together.values()]
+        assert sum(builds) == shared
+        assert sum(payload["search"].pop("tensor_builds") for payload in apart.values()) == alone
+        assert together == apart
+        assert shared < alone
+
     def test_resample_calls_per_command(self, tmp_path, monkeypatch):
         import condsurv.bandwidth
         import condsurv.cli

@@ -237,8 +237,8 @@ def test_single_curve_is_a_batch_of_one(censoring, support):
         s = generate_sample(model, int(rng.integers(20, 120)), rng)
         x0, h, g = float(rng.random()), 0.05 + 0.5 * rng.random(), 0.02 + 0.3 * rng.random()
         batch = _CurveBatch([s], grid.points, support=support)
-        step, ok = batch.values(x0, [(h,)])[0]
-        smooth, _ = batch.values(x0, [(h, g)])[0]
+        step, ok = batch.values([(x0, (h,))])[0]
+        smooth, _ = batch.values([(x0, (h, g))])[0]
         assert ok[0]
         np.testing.assert_array_equal(beran_survival(s, x0, h, grid, support=support).values, step[0])
         np.testing.assert_array_equal(
