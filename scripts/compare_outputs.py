@@ -16,8 +16,10 @@ benchmark module's region path and its ground-truth and selection searches
 of (h, g).  Every output file is then
 compared: the script prints whether its bytes are equal and, when they are
 not, the largest |difference| over its numbers (CSV cells and JSON numbers)
-with the place where it occurs, every top-level JSON number that moved, and
-the places whose shape differs (for example objective traces of different
+with the place where it occurs, every place whose numbers moved (list
+indices and CSV row numbers collapsed to ``*``, so ``objective_trace[*][*]``)
+with how many moved there and their largest |difference|, and the places
+whose shape differs (for example objective traces of different
 length, which are not compared entry by entry).  For a ``select-bandwidth``
 file it also prints |dh*| and |dg*| in cells of its search box, a cell being
 (high - low)/31 (the default 32-point grid), and the smallest finite
@@ -34,6 +36,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -117,6 +120,11 @@ def _search_moves(a: dict, b: dict) -> list[str]:
     return parts
 
 
+def _collapsed(place: str) -> str:
+    """A place with its list indices and CSV row numbers replaced by *: 'trace[3][2]' -> 'trace[*][*]'."""
+    return re.sub(r"^row \d+", "row *", re.sub(r"\[\d+\]", "[*]", place))
+
+
 def compare_file(a: Path, b: Path) -> tuple[bool, str]:
     """(bytes equal, description) for one output file present in both trees."""
     if a.read_bytes() == b.read_bytes():
@@ -134,9 +142,15 @@ def compare_file(a: Path, b: Path) -> tuple[bool, str]:
     if deltas:
         worst = max(deltas, key=deltas.get)
         parts.append(f"max|d|={deltas[worst]:.3g} at {worst}")
-    moved = [f"{k} d={d:.3g}" for k, d in deltas.items() if d > 0.0 and not any(c in k for c in ".[ ")]
+    moved: dict = {}
+    for place, d in deltas.items():
+        if d > 0.0:
+            place = _collapsed(place)
+            count, largest = moved.get(place, (0, 0.0))
+            moved[place] = (count + 1, max(largest, d))
     if moved:
-        parts.append("top level: " + ", ".join(moved))
+        parts.append("moved: " + ", ".join(f"{place} ({count}, max|d|={d:.3g})"
+                                           for place, (count, d) in moved.items()))
     if mismatched:
         parts.append("shape differs at " + ", ".join(mismatched))
     return False, "; ".join(parts)

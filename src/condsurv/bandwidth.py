@@ -228,28 +228,32 @@ def _levels(boxes, strategy, grid_size, trace):
         raise ValueError(f"unknown strategy: {strategy!r}")
 
 
-def _minimize(objective, boxes, strategy, grid_size, trace) -> tuple:
-    """Minimize an objective over one or two search intervals by the search of `_levels`.
+def _search(values, x0s, boxes, strategy, grid_size) -> list:
+    """The objective traces of one search of `_levels` per x0, run level by level in lockstep.
 
-    `objective` maps the list of a level's unseen points to the list of
-    their values.  Every evaluation is appended to `trace` as
-    (h[, g], value), and the best finite entry is returned.
+    `values` maps a list of (x0, point) queries to the list of their
+    values.  Each level's unseen points of every x0 go to one call, x0 by
+    x0, and each evaluation is appended to its x0's trace as
+    (h[, g], value).
     """
-    for points in _levels(boxes, strategy, grid_size, trace):
-        trace.extend((*point, float(value)) for point, value in zip(points, objective(points), strict=True))
-    return _best_traced(trace)
+    traces: list = [[] for _ in x0s]
+    for levels in zip(*(_levels(boxes, strategy, grid_size, trace) for trace in traces)):
+        asked = [(trace, x0, point) for trace, x0, points in zip(traces, x0s, levels) for point in points]
+        found = values([(x0, point) for _, x0, point in asked])
+        for (trace, _, point), value in zip(asked, found, strict=True):
+            trace.append((*point, float(value)))
+    return traces
 
 
 def _select(sample, x0s, boxes, plan, grid, strategy, grid_size, support, resamples) -> list:
     """Bootstrap MISE minimization over h alone (one box) or over (h, g) (two boxes), at each x0.
 
-    The searches share one batch and run level by level in lockstep: each
-    level's unseen points of every x0 go to one engine call, grouped by g in
-    order of first appearance, so each g's tensor serves every x0 that needs
-    it.  Curves do not depend on what is evaluated beside them, so each x0's
-    trace and bandwidths are those of a search at that x0 alone.  Each
-    tensor build is charged to the first x0, in the order given, whose
-    points need that g: the `tensor_builds` counts sum to the builds made.
+    The searches share one batch and run in lockstep, so each level is one
+    engine call and each g's tensor serves every x0 that needs it.  Curves
+    do not depend on what is evaluated beside them, so each x0's trace and
+    bandwidths are those of a search at that x0 alone.  Each tensor build
+    is charged to the first x0, in the order given, whose level needs that
+    g, so the `tensor_builds` counts sum to the builds made.
     """
     _check_scheme(plan, len(boxes), f"select_bandwidth_{len(boxes)}d")
     boxes = _validate_boxes(boxes)
@@ -261,19 +265,7 @@ def _select(sample, x0s, boxes, plan, grid, strategy, grid_size, support, resamp
     def mise(x0, values, ok) -> float:
         return _mean_integrated_sq(values, ok, pilots[x0], widths)
 
-    traces: list = [[] for _ in x0s]
-    for levels in zip(*(_levels(boxes, strategy, grid_size, trace) for trace in traces)):
-        queries = [(x0, point) for x0, points in zip(x0s, levels) for point in points]
-        rank: dict = {}
-        for _, point in queries:
-            rank.setdefault(point[1:], len(rank))  # (g,), or () for every point of a 1-D search
-        order = sorted(range(len(queries)), key=lambda i: rank[queries[i][1][1:]])
-        values = [0.0] * len(queries)
-        for i, value in zip(order, batch.values([queries[i] for i in order], mise), strict=True):
-            values[i] = value
-        per_x0 = iter(values)
-        for trace, points in zip(traces, levels):
-            trace.extend((*point, float(value)) for point, value in zip(points, per_x0))
+    traces = _search(lambda queries: batch.values(queries, mise), x0s, boxes, strategy, grid_size)
     selections = []
     for x0, trace in zip(x0s, traces):
         best = _best_traced(trace)

@@ -21,10 +21,11 @@ from pathlib import Path
 import numpy as np
 
 from .bandwidth import (
+    _best_traced,
     _mean_integrated_sq,
-    _minimize,
     _quantile_spread,
     _resampling_plan,
+    _search,
     _select,
     default_covariate_box,
     default_time_box,
@@ -87,6 +88,10 @@ class BenchConfig:
             raise ValueError("mode must be 'bandwidth' or 'regions'")
         if self.estimator not in ("beran", "smoothed-beran"):
             raise ValueError("estimator must be 'beran' or 'smoothed-beran'")
+        if self.strategy not in ("grid", "multistart"):
+            raise ValueError(f"strategy must be 'grid' or 'multistart', got {self.strategy!r}")
+        if not self.methods or not set(self.methods) <= {1, 2}:
+            raise ValueError(f"methods must be a nonempty selection of 1 and 2, got {self.methods!r}")
         counts = ["n_samples", "B", "mise_samples", "mise_grid", "workers"] + (["grid_size"] if self.strategy == "grid" else [])
         for name in counts:
             if getattr(self, name) < 1:
@@ -168,30 +173,30 @@ def mc_mise(
     if estimator not in ("beran", "smoothed-beran"):
         raise ValueError(f"unknown estimator: {estimator!r}")
     g = None if estimator == "beran" else float(g)
-    return _mise_function(model, grid, n_samples, n, seed)([(float(h), g)])[0]
+    return _mise_function(model, grid, n_samples, n, seed)([(model.x0, (float(h), g))])[0]
 
 
-def _mise_function(model, grid, n_samples, n, seed):
-    """MISE against the model truth at x0 of each bandwidth point of a list, over fixed samples (seed, j)."""
+def _mise_function(model, grid, n_samples, n, seed, deadline=None):
+    """MISE against the model truth at x0 of each query (model.x0, bandwidths) of a list, over samples (seed, j).
+
+    Once the `deadline` (a perf_counter time) has passed, the next query
+    raises TimeoutError.
+    """
     samples = [generate_sample(model, n, substream(seed, j)) for j in range(n_samples)]
     batch = _CurveBatch(samples, grid.points, model.support)
     truth = np.asarray(model.true_survival(grid.points, model.x0))
-    return lambda points: batch.values(
-        ((model.x0, point) for point in points),
-        lambda _, values, ok: _mean_integrated_sq(values, ok, truth, grid.cell_widths))
 
-
-def _until(deadline: float | None, points):
-    """The points one at a time, raising TimeoutError once the deadline has passed."""
-    for point in points:
+    def mise(_, values, ok) -> float:
         if deadline is not None and time.perf_counter() > deadline:
             raise TimeoutError("the wall-clock budget ran out")
-        yield point
+        return _mean_integrated_sq(values, ok, truth, grid.cell_widths)
+
+    return lambda queries: batch.values(queries, mise)
 
 
-def _mise_optimal(mise, boxes, n_candidates):
-    """Grid search of a _mise_function, over the same samples throughout; returns (bandwidths, rmise)."""
-    *bandwidths, value = _minimize(mise, boxes, "grid", n_candidates, [])
+def _mise_optimal(mise, x0, boxes, n_candidates):
+    """Grid search of a _mise_function at x0, over the same samples throughout; returns (bandwidths, rmise)."""
+    *bandwidths, value = _best_traced(_search(mise, [x0], boxes, "grid", n_candidates)[0])
     return tuple(bandwidths), float(np.sqrt(value))
 
 
@@ -206,7 +211,7 @@ def mise_optimal_1d(
     seed: int,
 ) -> tuple[float, float]:
     """Grid search for the MISE-optimal Beran bandwidth; returns (h, rmise)."""
-    (h,), rmise = _mise_optimal(_mise_function(model, grid, n_samples, n, seed), (box,), n_candidates)
+    (h,), rmise = _mise_optimal(_mise_function(model, grid, n_samples, n, seed), model.x0, (box,), n_candidates)
     return h, rmise
 
 
@@ -222,7 +227,8 @@ def mise_optimal_2d(
     seed: int,
 ) -> tuple[float, float, float]:
     """Mesh search for the MISE-optimal smoothed pair; returns (h, g, rmise)."""
-    (h, g), rmise = _mise_optimal(_mise_function(model, grid, n_samples, n, seed), (box_h, box_g), n_candidates)
+    mise = _mise_function(model, grid, n_samples, n, seed)
+    (h, g), rmise = _mise_optimal(mise, model.x0, (box_h, box_g), n_candidates)
     return h, g, rmise
 
 
@@ -344,8 +350,8 @@ def _map_with_budget(fn, n_tasks: int, workers: int, deadline: float | None):
 def run_benchmark(config: BenchConfig) -> BenchReport:
     """Run one bandwidth-selection or confidence-region study.
 
-    A wall-clock budget, when set, is checked between the ground-truth
-    search's evaluations and between per-sample tasks; on expiry the report
+    A wall-clock budget, when set, is checked at each evaluation of the
+    ground-truth search and between per-sample tasks; on expiry the report
     carries the completed prefix and is flagged incomplete.
     """
     model = make_model(config.model, config.censoring)
@@ -379,9 +385,9 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     boxes = (box_h, box_g) if smoothed else (box_h,)
     h, g = config.bandwidth_h, config.bandwidth_g
     if config.mode == "bandwidth" or h is None:
-        mise = _mise_function(model, grid, config.mise_samples, config.n, child_seed(config.seed, 4))
+        mise = _mise_function(model, grid, config.mise_samples, config.n, child_seed(config.seed, 4), deadline)
         try:
-            bandwidths, rmise_opt = _mise_optimal(lambda pts: mise(_until(deadline, pts)), boxes, config.mise_grid)
+            bandwidths, rmise_opt = _mise_optimal(mise, model.x0, boxes, config.mise_grid)
         except TimeoutError:
             report.incomplete = True
             return report
@@ -399,8 +405,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                          for key in ("objective_evals", "nonfinite_evals", "tensor_builds")}
         if selections:
             mise_at = _mise_function(model, grid, config.mise_samples, config.n, child_seed(config.seed, 5))
-            rmise_selected = [float(np.sqrt(mise_at([(s.h_star, s.g_star)])[0])) for s in selections]
-            rmise_ref = float(np.sqrt(mise_at([(h_mise, g_mise)])[0]))
+            queries = [(model.x0, (s.h_star, s.g_star)) for s in selections] + [(model.x0, (h_mise, g_mise))]
+            *rmise_selected, rmise_ref = (float(np.sqrt(value)) for value in mise_at(queries))
             report.bandwidth_metrics = relative_metrics(
                 selections, h_mise, rmise_selected, rmise_ref, g_mise=g_mise
             )

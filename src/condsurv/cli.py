@@ -263,13 +263,16 @@ def _x0_tag(x0: float) -> str:
 
 
 def _x0_stems(out: str, x0s) -> list[str]:
-    """The output path stem of each x0; distinct values may not share one, or one would be lost."""
+    """The output path stem of each x0; no two values may share one, or one file would be lost."""
     first: dict = {}
     for x0 in x0s:
-        other = first.setdefault(_x0_tag(x0), x0)
-        if other != x0:
-            raise ValueError(f"--x0 values {other!r} and {x0!r} share the output tag {_x0_tag(x0)!r}")
-    return [f"{out}_x{_x0_tag(x0)}" for x0 in x0s]
+        tag = _x0_tag(x0)
+        if tag in first:
+            other = first[tag]
+            raise ValueError(f"--x0 value {x0!r} is given twice" if other == x0
+                             else f"--x0 values {other!r} and {x0!r} share the output tag {tag!r}")
+        first[tag] = x0
+    return [f"{out}_x{tag}" for tag in first]
 
 
 def _cmd_fit(args) -> int:

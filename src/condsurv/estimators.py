@@ -145,60 +145,56 @@ class _CurveBatch:
         self.tensor_builds: Counter = Counter()  # integrated-kernel tensors built, by the x0 that needed them
 
     def values(self, queries, reduce=lambda x0, values, ok: (values, ok)) -> list:
-        """reduce(x0, values, ok) of the curves of each query (x0, point), in a list.
+        """reduce(x0, values, ok) of the curves of each query (x0, point), in query order.
 
         `values` has one row per sample and `ok` marks the rows with kernel
         mass.  A point (h,) or (h, None) gives Beran step curves; (h, g)
         smooths their jumps in time at scale g.  `reduce` runs per query, so
-        the list need not hold every curve.  Queries are evaluated in the
-        order given, each by its own einsum, so a value does not depend on
-        the queries beside it.  Each (x0, h)'s jump masses are computed once
-        per call, and so is each g's integrated-kernel tensor when the
-        queries come grouped by g.  What the previous call computed is reused
-        when it recurs, bit for bit; before this call builds a tensor it
-        drops the held tensors whose g it does not use, and the masses it did
-        not use go when it ends.  To see its g values first, a call that
-        holds tensors reads all its queries before it evaluates one; on a
-        fresh batch they are read one at a time, as they are evaluated.
+        the list need not hold every curve.  The queries are evaluated
+        grouped by g, in order of first appearance, each by its own einsum,
+        so a value does not depend on the queries beside it.  Each (x0, h)'s
+        jump masses and each g's integrated-kernel tensor are computed once
+        per call; a build is charged in `tensor_builds` to the x0 of the
+        first query that needs it.  What the previous call computed is
+        reused when it recurs, bit for bit.  A call first drops the held
+        tensors whose g it does not use, and the masses it did not use go
+        when it ends.  A tensor is kept for the next call only while the held
+        and kept tensors, with room for one more in use, fit the byte budget;
+        the oldest kept go first.
         """
-        if self._tensors:
-            queries = list(queries)
-            used = {float(point[1]) for _, point in queries if len(point) > 1 and point[1] is not None}
-            self._tensors = {g: tensor for g, tensor in self._tensors.items() if g in used}
-        masses, tensors, out = {}, {}, []
-        for x0, point in queries:
-            x0 = float(x0)
-            h, g = (*point, None)[:2]
-            if g is None:
-                w, ok = _query_weights(self._x_kern, self._folded, x0, h, self._kfn)
-                out.append(reduce(x0, self._grid_values(w), ok))
-                continue
-            key = (x0, float(h))
-            if key not in masses:
-                masses[key] = self._masses.pop(key) if key in self._masses else self._jump_masses(x0, h)
-            ok, agg = masses[key]
-            vals = 1.0 - np.einsum("ktu,ku->kt", self._tensor(float(g), tensors, x0), agg)
-            np.clip(vals, 0.0, 1.0, out=vals)
-            out.append(reduce(x0, vals, ok))
-        self._masses, self._tensors = masses, tensors
+        queries = list(queries)
+        groups: dict = {}
+        for i, (_, point) in enumerate(queries):
+            g = point[1] if len(point) > 1 else None
+            groups.setdefault(None if g is None else float(g), []).append(i)
+        self._tensors = {g: tensor for g, tensor in self._tensors.items() if g in groups}
+        masses, kept, out = {}, {}, [None] * len(queries)
+        for g, members in groups.items():
+            tensor = None
+            for i in members:
+                x0, h = float(queries[i][0]), queries[i][1][0]
+                if g is None:
+                    w, ok = _query_weights(self._x_kern, self._folded, x0, h, self._kfn)
+                    out[i] = reduce(x0, self._grid_values(w), ok)
+                    continue
+                key = (x0, float(h))
+                if key not in masses:
+                    masses[key] = self._masses.pop(key) if key in self._masses else self._jump_masses(x0, h)
+                ok, agg = masses[key]
+                if tensor is None:
+                    tensor = self._tensors.pop(g, None)
+                    if tensor is None:
+                        tensor = self._ik_tensor(g)
+                        self.tensor_builds[x0] += 1
+                vals = 1.0 - np.einsum("ktu,ku->kt", tensor, agg)
+                np.clip(vals, 0.0, 1.0, out=vals)
+                out[i] = reduce(x0, vals, ok)
+            if tensor is not None:
+                kept[g] = tensor
+                while len(self._tensors) + len(kept) >= self._tensor_slots:
+                    del kept[next(iter(kept))]
+        self._masses, self._tensors = masses, kept
         return out
-
-    def _tensor(self, g: float, tensors: dict, x0: float) -> np.ndarray:
-        """The tensor at g, moved to the end of this call's `tensors`.
-
-        A tensor is built only after the least recently used one has gone, if
-        the byte budget is full: the previous call's first, then this call's.
-        A build is charged to `x0` in `tensor_builds`.
-        """
-        tensor = tensors.pop(g) if g in tensors else self._tensors.pop(g, None)
-        if tensor is None:
-            if len(self._tensors) + len(tensors) >= self._tensor_slots:
-                oldest = self._tensors or tensors
-                del oldest[next(iter(oldest))]
-            tensor = self._ik_tensor(g)
-            self.tensor_builds[x0] += 1
-        tensors[g] = tensor
-        return tensor
 
     def _grid_values(self, w: np.ndarray) -> np.ndarray:
         """Beran step-curve values for covariate weights given in sorted order."""

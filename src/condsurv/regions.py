@@ -169,8 +169,9 @@ def _region(methods, sample, x0s, h, plan, grid, alpha=0.05, g=None, estimator="
     Each region is estimate +- lambda* scale, clamped into [0, 1].  The scale
     is sigma* for method 1 and one for method 2.  With scale one the
     deviations are divided by one and lambda* multiplies one, both exactly,
-    so method 2's lambda* is the sup-norm radius rho* of method2_radius.  At
-    each x0 the bootstrap curves, pilot and centre serve every method.
+    so method 2's lambda* is the sup-norm radius rho* of method2_radius.  One
+    engine call gives the bootstrap curves of every x0, and at each x0 the
+    curves, pilot and centre serve every method.
     """
     # estimator tags and resampling scheme names are the same strings
     if plan.scheme != estimator:
@@ -178,8 +179,7 @@ def _region(methods, sample, x0s, h, plan, grid, alpha=0.05, g=None, estimator="
     h, g = _region_bandwidths(estimator, h, g)
     batch = _CurveBatch(_resamples_or_generate(sample, plan, support, resamples), grid.points, support)
     regions: dict = {method: [] for method in methods}
-    for x0 in x0s:
-        curves, ok = batch.values([(x0, (h, g))])[0]
+    for x0, (curves, ok) in zip(x0s, batch.values([(x0, (h, g)) for x0 in x0s])):
         if not ok.all():
             raise DegenerateWeightsError("a bootstrap curve degenerated at the requested bandwidth")
         pilot = _pilot_values(sample, x0, plan, grid.points, support)

@@ -17,7 +17,7 @@ from condsurv import (
     select_bandwidth_1d,
     select_bandwidth_2d,
 )
-from condsurv.bandwidth import _mean_integrated_sq, _minimize, _pilot_values
+from condsurv.bandwidth import _best_traced, _mean_integrated_sq, _pilot_values, _search
 from condsurv.estimators import _CurveBatch
 from condsurv.resampling import resample
 from condsurv.errors import NoEventsError, SelectionFailedError
@@ -181,23 +181,25 @@ class TestRiemannRule:
         assert abs(b - a) / a <= 0.01
 
 
-def _each(objective):
-    """The level objective of _minimize that evaluates `objective` at each point."""
-    return lambda points: [objective(*point) for point in points]
+def _best_of(objective, boxes, strategy, grid_size, trace):
+    """The best entry of one search of `objective` by the search driver; its evaluations go to `trace`."""
+    trace += _search(lambda queries: [objective(*point) for _, point in queries], [0.5], boxes, strategy,
+                     grid_size)[0]
+    return _best_traced(trace)
 
 
 class TestMinimizers:
     def test_grid_parabola_middle_point(self):
         trace = []
-        best, _ = _minimize(_each(lambda h: (h - 0.5) ** 2), ((0.0001, 1.0),), "grid", 3, trace)
+        best, _ = _best_of(lambda h: (h - 0.5) ** 2, ((0.0001, 1.0),), "grid", 3, trace)
         assert best == pytest.approx(0.50005, abs=1e-12)
         assert len(trace) == 3
 
     def test_separable_quadratic_2d(self):
         a, b = 0.4, 0.7
         trace = []
-        h, g, _ = _minimize(
-            _each(lambda x, y: (x - a) ** 2 + (y - b) ** 2),
+        h, g, _ = _best_of(
+            lambda x, y: (x - a) ** 2 + (y - b) ** 2,
             ((0.1, 1.0), (0.1, 1.0)), "grid", 4, trace,
         )
         assert h == pytest.approx(0.4, abs=1e-12)
@@ -206,7 +208,7 @@ class TestMinimizers:
 
     def test_multistart_on_smooth_objective(self):
         trace = []
-        best, _ = _minimize(_each(lambda h: (h - 0.37) ** 2), ((0.01, 2.0),), "multistart", 0, trace)
+        best, _ = _best_of(lambda h: (h - 0.37) ** 2, ((0.01, 2.0),), "multistart", 0, trace)
         assert best == pytest.approx(0.37, abs=1e-4)
 
     @pytest.mark.parametrize("objective", [
@@ -217,7 +219,7 @@ class TestMinimizers:
     def test_multistart_is_deterministic_and_stays_in_the_box(self, objective):
         boxes = ((0.05, 1.3), (0.02, 0.9))
         traces = ([], [])
-        results = [_minimize(_each(objective), boxes, "multistart", 0, trace) for trace in traces]
+        results = [_best_of(objective, boxes, "multistart", 0, trace) for trace in traces]
         assert results[0] == results[1] and traces[0] == traces[1]
         points = np.array(traces[0])[:, :2]
         lo, hi = np.array(boxes).T
@@ -233,12 +235,12 @@ class TestMinimizers:
             return float(-np.exp(-np.sum((p - local) ** 2) / 0.1)
                          - 1.5 * np.exp(-np.sum((p - deep) ** 2) / 0.03))
 
-        best = _minimize(_each(two_wells), ((0.05, 2.0), (0.01, 1.0))[:dims], "multistart", 0, [])
+        best = _best_of(two_wells, ((0.05, 2.0), (0.01, 1.0))[:dims], "multistart", 0, [])
         assert np.allclose(best[:-1], deep, rtol=0, atol=1e-3)
 
     def test_all_infinite_raises(self):
         with pytest.raises(SelectionFailedError):
-            _minimize(_each(lambda h: float("inf")), ((0.01, 1.0),), "grid", 4, [])
+            _best_of(lambda h: float("inf"), ((0.01, 1.0),), "grid", 4, [])
 
 
 class TestSelection:

@@ -337,6 +337,10 @@ class TestScaling:
     ({"budget_seconds": 0.0}, "budget_seconds"),
     ({"budget_seconds": -60.0}, "budget_seconds"),
     ({"budget_seconds": float("nan")}, "budget_seconds"),
+    ({"strategy": "foo"}, "strategy"),
+    ({"methods": (3,)}, "methods"),
+    ({"methods": (1, 0)}, "methods"),
+    ({"methods": ()}, "methods"),
 ])
 def test_config_counts_and_alpha_are_checked(entries, field):
     with pytest.raises(ValueError, match=f"^{field} must"):

@@ -348,6 +348,25 @@ class TestFlagValidation:
         assert code == 2 and "share the output tag '0p123456'" in record["message"]
         assert list(tmp_path.glob("out*")) == []
 
+    @pytest.mark.parametrize("flags", [
+        ("fit", "--h", "0.3"),
+        ("select-bandwidth", "--seed", "3", "--B", "4"),
+        ("region", "--h", "0.3", "--seed", "3", "--B", "4"),
+    ])
+    def test_repeated_x0_exits_2_before_loading(self, tmp_path, monkeypatch, flags):
+        import condsurv.cli
+
+        monkeypatch.setattr(condsurv.cli, "_load_dataset", lambda args: pytest.fail("the data were loaded"))
+        err_path = tmp_path / "err.json"
+        code = main([
+            *flags, "--data", "data.csv", "--x0", "0.4,0.6,0.4",
+            "--out", str(tmp_path / "out"), "--error-json", str(err_path),
+        ])
+        record = json.loads(err_path.read_text())
+        assert code == 2 and record["exit_code"] == 2
+        assert record["message"] == "--x0 value 0.4 is given twice"
+        assert list(tmp_path.glob("out*")) == []
+
 
 def _model_csv(tmp_path, n=60, seed=4):
     from condsurv.dataio import save_csv

@@ -246,6 +246,26 @@ def test_single_curve_is_a_batch_of_one(censoring, support):
         )
 
 
+def test_one_call_builds_each_g_once_and_answers_in_query_order(monkeypatch):
+    # with room for one tensor, interleaved g would rebuild g1 if queries ran in the order given
+    import condsurv.estimators as estimators
+    from condsurv.simulation import generate_sample, make_model
+
+    model = make_model("model1", 0.2)
+    grid = TimeGrid.uniform(model.t_max, 30)
+    rng = np.random.default_rng(23)
+    samples = [generate_sample(model, 60, rng) for _ in range(4)]
+    monkeypatch.setattr(estimators, "_TENSOR_CACHE_BYTES", 1)
+    queries = [(0.4, (0.2, 0.1)), (0.4, (0.3, 0.05)), (0.4, (0.25, 0.1))]
+    batch = estimators._CurveBatch(samples, grid.points, model.support)
+    found = batch.values(queries)
+    assert sum(batch.tensor_builds.values()) == 2
+    for query, (values, ok) in zip(queries, found, strict=True):
+        alone, alone_ok = estimators._CurveBatch(samples, grid.points, model.support).values([query])[0]
+        np.testing.assert_array_equal(values, alone)
+        np.testing.assert_array_equal(ok, alone_ok)
+
+
 def test_product_limit_rows_match_reference_bit_for_bit():
     rng = np.random.default_rng(8)
     for n in (1, 2, 7, 60):
