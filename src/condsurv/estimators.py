@@ -235,13 +235,12 @@ class _CurveBatch:
         self._event_idx = event_idx
         self._starts = starts
         self._atoms = atoms
-        self._offsets = self.points[None, :, None] - atoms[:, None, :]  # each tensor is IK(offsets / g)
-        self._ikfn = kernels._cdf()
         self._tensor_slots = max(1, _TENSOR_CACHE_BYTES // (8 * atoms.size * self.points.size))
 
     def _ik_tensor(self, g: float) -> np.ndarray:
-        tensor = np.divide(self._offsets, float(g))
-        return self._ikfn(tensor, out=tensor)
+        tensor = self.points[None, :, None] - self._atoms[:, None, :]  # each tensor is IK(tensor / g)
+        tensor /= float(g)
+        return kernels._cdf()(tensor, out=tensor)
 
 
 def _single_curve(sample, x0, h, points, support, g=None) -> np.ndarray:

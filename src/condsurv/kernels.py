@@ -11,13 +11,17 @@ Conventions:
 With the default (-50, 50) range the truncation mass is exactly 1.0 in double
 precision, so K and IK coincide bit-for-bit with the untruncated normal pdf/cdf,
 which is what the estimators and the resampler evaluate.
-scipy.special is imported only by the primitives that evaluate a cdf or draw
-noise, so the density-only paths never load it.
+The cdf and the noise use scipy's ndtr and ndtri, which _ufuncs loads on first
+use without the scipy.special package init and its array-API backends.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.util
 import math
+import sys
+import types
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,6 +36,26 @@ __all__ = [
 ]
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
+
+
+@functools.cache
+def _ufuncs():
+    """(ndtr, ndtri), loaded once without running the scipy.special package init."""
+    stub = types.ModuleType("scipy.special")  # stands in while the compiled modules load
+    stub.__path__ = importlib.util.find_spec("scipy.special").submodule_search_locations
+    try:
+        if sys.modules.setdefault("scipy.special", stub) is stub:
+            from scipy.special._special_ufuncs import ndtr
+            from scipy.special._ufuncs import ndtri
+            return ndtr, ndtri
+    except ImportError:
+        pass
+    finally:  # the stub never outlives the load, so `import scipy.special` still works
+        if sys.modules.get("scipy.special") is stub:
+            for name in [m for m in sys.modules if m.startswith("scipy.special")]:
+                del sys.modules[name]
+    from scipy.special import ndtr, ndtri  # already imported, or the private modules moved
+    return ndtr, ndtri
 
 
 def _phi(x: float) -> float:
@@ -80,8 +104,7 @@ def eval_kernel(spec: KernelSpec, u) -> float | np.ndarray:
 
 def eval_integrated_kernel(spec: KernelSpec, t) -> float | np.ndarray:
     """Kernel distribution function at t, clamped to 0/1 outside the range."""
-    from scipy.special import ndtr
-
+    ndtr = _ufuncs()[0]
     tt = np.asarray(t, dtype=float)
     low, high = spec.truncation_range
     core = (ndtr(tt) - ndtr(low)) / spec.mass
@@ -102,8 +125,7 @@ def _gaussian_density(u, out=None):
 
 def kernel_rvs(spec: KernelSpec, rng: np.random.Generator, size: int) -> np.ndarray:
     """Inverse-transform draws from the kernel density."""
-    from scipy.special import ndtr, ndtri
-
+    ndtr, ndtri = _ufuncs()
     low, high = spec.truncation_range
     u = rng.random(size)
     with np.errstate(divide="ignore"):
@@ -118,9 +140,7 @@ def _density():
 
 
 def _cdf():
-    from scipy.special import ndtr
-
-    return ndtr
+    return _ufuncs()[0]
 
 
 def _noise(rng: np.random.Generator, size: int) -> np.ndarray:

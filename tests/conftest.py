@@ -73,3 +73,17 @@ def reference_product_limit_rows(w, d):
     np.clip(factors, 0.0, 1.0, out=factors)
     factors[(at_risk <= 1e-12) & (event <= 1e-12)] = 1.0
     return np.cumprod(factors, axis=1)
+
+
+def fresh_python(args, cwd=None):
+    """Run `python args...` in a new interpreter that imports this checkout of condsurv."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import condsurv
+
+    src = str(Path(condsurv.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True)

@@ -335,6 +335,17 @@ class TestSelection:
                 "tensor_builds": len({entry[1] for entry in trace}),
             }
 
+    def test_a_tensor_build_is_ndtr_of_the_offsets_over_g(self):
+        from scipy.special import ndtr
+
+        s, plan, grid, rs, sel = self._search_2d(9)
+        batch = _CurveBatch(rs, grid.points)
+        batch.values([(0.5, (0.3, 0.1))])
+        for g in (0.1, sel.g_star):
+            expected = ndtr((grid.points[None, :, None] - batch._atoms[:, None, :]) / g)
+            assert batch._ik_tensor(g).tobytes() == expected.tobytes()
+        assert sel.search["tensor_builds"] == 40  # the search's 40 distinct g, each built once
+
     def test_2d_grid_computes_each_h_jump_masses_once(self, monkeypatch):
         # g is the outer loop, so every h of the 32-point axis is asked for once per g
         calls = []

@@ -5,6 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from condsurv.cli import main
+from conftest import fresh_python
 
 BASIC = "x,z,delta\n0.5,1.0,1\n0.5,2.0,0\n0.5,3.0,1\n"
 
@@ -650,32 +651,18 @@ def test_memory_error_exits_3_with_the_record(tmp_path, monkeypatch):
                       "message": "Unable to allocate 2.98 GiB for an array with shape (20000, 20000)"}
 
 
-def _fresh_python(args, cwd=None):
-    """Run `python args...` in a new interpreter that imports this checkout of condsurv."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import condsurv
-
-    src = str(Path(condsurv.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True)
-
-
 LAZY_MODULES = ("scipy.special", "concurrent.futures.process")
 
 
 def test_import_leaves_scipy_special_and_the_process_pool_unloaded():
     code = f"import sys, condsurv; print([m in sys.modules for m in {LAZY_MODULES!r}])"
-    proc = _fresh_python(["-c", code])
+    proc = fresh_python(["-c", code])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[False, False]"
 
 
 def test_version_leaves_scipy_special_and_the_process_pool_unloaded():
-    proc = _fresh_python(["-X", "importtime", "-m", "condsurv", "--version"])
+    proc = fresh_python(["-X", "importtime", "-m", "condsurv", "--version"])
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("condsurv ")
     imported = {line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")}
@@ -683,9 +670,11 @@ def test_version_leaves_scipy_special_and_the_process_pool_unloaded():
     assert not imported & set(LAZY_MODULES)
 
 
-def _loads_scipy_special(tmp_path, argv):
-    code = f"import sys; from condsurv.cli import main; print(main({argv!r}), 'scipy.special' in sys.modules)"
-    proc = _fresh_python(["-c", code], cwd=tmp_path)
+def _loads_scipy_special(tmp_path, argv, preload=""):
+    # the package, or the array-API backends its init loads
+    modules = ["scipy.special", "scipy.special._support_alternative_backends"]
+    code = f"import sys; {preload}from condsurv.cli import main; print(main({argv!r}), any(m in sys.modules for m in {modules!r}))"
+    proc = fresh_python(["-c", code], cwd=tmp_path)
     assert proc.returncode == 0, proc.stderr
     exit_code, loaded = proc.stdout.split()
     assert exit_code == "0"
@@ -710,10 +699,34 @@ def test_beran_simulate_leaves_scipy_special_unloaded(tmp_path):
     assert json.loads((tmp_path / "s" / "report.json").read_text())["samples_completed"] == 1
 
 
-def test_smoothed_fit_loads_scipy_special(tmp_path):
-    argv = ["fit", "--data", _model_csv(tmp_path), "--estimator", "smoothed-beran", "--x0", "0.5",
-            "--h", "0.3", "--g", "0.2", "--n-grid", "8", "--out", str(tmp_path / "o")]
-    assert _loads_scipy_special(tmp_path, argv)
+SMOOTHED_COMMANDS = {
+    "fit": ["fit", "--x0", "0.5", "--h", "0.3", "--g", "0.2"],
+    "select-bandwidth": ["select-bandwidth", "--x0", "0.5", "--B", "4", "--seed", "2",
+                         "--strategy", "grid", "--grid-size", "3"],
+    "region": ["region", "--method", "1", "--x0", "0.5", "--h", "0.3", "--g", "0.2", "--B", "8", "--seed", "2"],
+}
+
+
+def _smoothed_argv(tmp_path, name, out):
+    command = SMOOTHED_COMMANDS[name]
+    return [command[0], "--data", _model_csv(tmp_path), "--estimator", "smoothed-beran", *command[1:],
+            "--n-grid", "8", "--out", str(tmp_path / out)]
+
+
+@pytest.mark.parametrize("name", sorted(SMOOTHED_COMMANDS))
+def test_smoothed_commands_leave_scipy_special_unloaded(tmp_path, name):
+    assert not _loads_scipy_special(tmp_path, _smoothed_argv(tmp_path, name, "o"))
+
+
+def test_smoothed_region_bytes_do_not_depend_on_how_the_ufuncs_load(tmp_path):
+    # with scipy.special imported first the kernels take the public import
+    assert not _loads_scipy_special(tmp_path, _smoothed_argv(tmp_path, "region", "loader"))
+    assert _loads_scipy_special(tmp_path, _smoothed_argv(tmp_path, "region", "public"), "import scipy.special; ")
+    outputs = {stem: sorted(tmp_path.glob(f"{stem}_*")) for stem in ("loader", "public")}
+    assert [p.name.replace("loader", "public") for p in outputs["loader"]] == [p.name for p in outputs["public"]]
+    assert outputs["loader"] and all(
+        a.read_bytes() == b.read_bytes() for a, b in zip(outputs["loader"], outputs["public"])
+    )
 
 
 @pytest.mark.parametrize("command", ["simulate", "bench"])

@@ -1,10 +1,13 @@
+import json
 import math
+import textwrap
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 from scipy.integrate import quad
 
+from conftest import fresh_python
 from condsurv import DEFAULT_KERNEL, KernelSpec, SurvivalSample, eval_integrated_kernel, eval_kernel
 from condsurv import kernels
 from condsurv.kernels import _gaussian_density, _mirrored, fold_into_support, kernel_rvs
@@ -186,6 +189,76 @@ def test_scalar_cdf_agrees_with_scipy_ndtr():
     assert DEFAULT_KERNEL.mass == float(scipy.special.ndtr(50.0) - scipy.special.ndtr(-50.0)) == 1.0
     assert kernels._cdf() is scipy.special.ndtr
     assert kernels._density() is _gaussian_density
+
+
+def _fresh_json(code):
+    proc = fresh_python(["-c", textwrap.dedent(code)])
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_loaded_ufuncs_are_scipy_specials_bit_for_bit():
+    result = _fresh_json("""
+        import json, sys
+        import numpy as np
+        import scipy
+        from condsurv import kernels
+
+        t, u = np.linspace(-60.0, 60.0, 100_001), np.linspace(0.0, 1.0, 100_001)
+        ndtr, ndtri = kernels._ufuncs()
+        loaded = ndtr(t).tobytes(), ndtri(u).tobytes()
+        left = sorted(m for m in sys.modules if m.startswith("scipy.special"))
+        parent = "special" in vars(scipy)  # the stub was never bound on the scipy package
+        import scipy.special
+        print(json.dumps({
+            "left": left,
+            "parent": parent,
+            "bits": [loaded[0] == scipy.special.ndtr(t).tobytes(), loaded[1] == scipy.special.ndtri(u).tobytes()],
+            "same": [ndtr is scipy.special.ndtr, ndtri is scipy.special.ndtri, kernels._cdf() is scipy.special.ndtr],
+        }))
+    """)
+    assert result == {"left": [], "parent": False, "bits": [True, True], "same": [True, True, True]}
+
+
+def test_loader_falls_back_when_the_private_import_fails():
+    result = _fresh_json("""
+        import json, sys
+
+        seen = []  # the scipy.special entries whenever the package itself is looked up
+
+        class Recorder:
+            @staticmethod
+            def find_spec(name, path=None, target=None):
+                if name == "scipy.special":
+                    seen.append(sorted(m for m in sys.modules if m.startswith("scipy.special")))
+
+        sys.meta_path.insert(0, Recorder)
+        sys.modules["scipy.special._ufuncs"] = None  # the private import raises ImportError
+        from condsurv import kernels
+
+        ndtr, ndtri = kernels._ufuncs()
+        import scipy.special
+        print(json.dumps({
+            "at_fallback": seen[-1],
+            "values": [float(ndtr(0.0)), float(ndtri(0.5)), float(ndtri(ndtr(1.25)))],
+            "public": [ndtr is scipy.special.ndtr, ndtri is scipy.special.ndtri],
+            "stubs": [m for m, mod in sys.modules.items() if m.startswith("scipy.special") and not hasattr(mod, "__file__")],
+        }))
+    """)
+    assert result["at_fallback"] == []  # the failed load left no stub entry behind
+    assert result["values"] == [0.5, 0.0, pytest.approx(1.25, abs=1e-12)]
+    assert result["public"] == [True, True]
+    assert result["stubs"] == []
+
+
+def test_loader_takes_an_imported_scipy_special_as_is():
+    import sys
+
+    import scipy.special
+
+    before = {m: mod for m, mod in sys.modules.items() if m.startswith("scipy.special")}
+    assert kernels._ufuncs.__wrapped__() == (scipy.special.ndtr, scipy.special.ndtri)
+    assert {m: mod for m, mod in sys.modules.items() if m.startswith("scipy.special")} == before
 
 
 @pytest.mark.parametrize("low, high", [(-2.0, 2.0), (-1.0, 3.0), (-6.0, 1.5), (0.0, 40.0), (2.0, 5.0)])
