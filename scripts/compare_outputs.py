@@ -13,7 +13,9 @@ both schemes (the benchmark's smoothed inputs fit in one); a smoothed
 workload searches; and two small smoothed studies that read no data file,
 ``simulate --mode regions`` and ``simulate --mode bandwidth``, which cover the
 benchmark module's region path and its ground-truth and selection searches
-of (h, g).  Every output file is then
+of (h, g); and a smoothed ``region`` and ``select-bandwidth`` on times rounded
+to one decimal, whose runs of tied events (up to about 50 long) no other
+input has.  Every output file is then
 compared: the script prints whether its bytes are equal and, when they are
 not, the largest |difference| over its numbers (CSV cells and JSON numbers)
 with the place where it occurs, every place whose numbers moved (list
@@ -46,7 +48,8 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SKIPPED = {"timings.json"}
-# name: (subcommand, flags besides --seed and --out, (sample size, censoring) of its --data CSV or None)
+# name: (subcommand, flags besides --seed and --out,
+#        (sample size, censoring[, decimals the times are rounded to]) of its --data CSV or None)
 EXTRA = {
     "smoothed-region-1600": ("region", ("--method", "1", "--estimator", "smoothed-beran", "--x0", "0.5",
                                         "--h", "0.15", "--g", "0.08", "--B", "10"), (1600, 0.2)),
@@ -56,6 +59,10 @@ EXTRA = {
     "smoothed-select-grid": ("select-bandwidth", ("--estimator", "smoothed-beran", "--x0", "0.4,0.6",
                                                   "--strategy", "grid", "--grid-size", "12", "--B", "10"),
                              (200, 0.2)),
+    "tied-region": ("region", ("--method", "1", "--estimator", "smoothed-beran", "--x0", "0.3,0.6",
+                               "--h", "0.15", "--g", "0.08", "--B", "10"), (400, 0.2, 1)),
+    "tied-select-grid": ("select-bandwidth", ("--estimator", "smoothed-beran", "--x0", "0.5", "--strategy", "grid",
+                                              "--grid-size", "8", "--B", "10"), (400, 0.2, 1)),
     "smoothed-select-study": ("simulate", ("--mode", "bandwidth", "--estimator", "smoothed-beran", "--n", "80",
                                            "--n-samples", "2", "--B", "10", "--n-grid", "30",
                                            "--mise-samples", "20", "--mise-grid", "8"), None),
@@ -172,14 +179,18 @@ def extra_job(name: str, seed: int, directory: Path):
     """The one command of an EXTRA entry, with its input CSV generated from the seed when it reads one."""
     import workloads
     from condsurv.dataio import save_csv
+    from condsurv.samples import SurvivalSample
     from condsurv.simulation import generate_sample, make_model
 
     sub, flags, data = EXTRA[name]
     args = (*flags, "--seed", str(workloads.program_seed(seed, data[0] if data else 0)))
     if data is not None:
-        n, censoring = data
+        n, censoring, *decimals = data
         csv_path = str(directory / f"{name}.csv")
-        save_csv(generate_sample(make_model("model1", censoring), n, np.random.default_rng([seed, n])), csv_path)
+        sample = generate_sample(make_model("model1", censoring), n, np.random.default_rng([seed, n]))
+        if decimals:
+            sample = SurvivalSample(x=sample.x, z=np.round(sample.z, *decimals), delta=sample.delta)
+        save_csv(sample, csv_path)
         args += ("--data", csv_path, "--support", workloads.SUPPORT_FLAG, "--n-grid", str(workloads.N_GRID))
     return [workloads.Command(sub, args, name)]
 

@@ -71,9 +71,9 @@ def load_csv(path, schema: DatasetSchema = DatasetSchema()) -> LoadedDataset:
     """Parse a survival CSV file under the given schema.
 
     Raises SchemaError when a declared column is missing, DataValidationError
-    (with the 1-based line number) on a malformed cell, nonfinite or negative
-    time, or a status outside {0, 1}, and EmptyDatasetError when no data rows
-    remain.
+    (with the 1-based line number) on a malformed cell, a nonfinite covariate,
+    a nonfinite or negative time, or a status outside {0, 1}, and
+    EmptyDatasetError when no data rows remain.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8") as fh:
@@ -101,6 +101,10 @@ def load_csv(path, schema: DatasetSchema = DatasetSchema()) -> LoadedDataset:
             x = _parse_number(row[col[schema.covariate_column]], schema.covariate_column, line_number)
             z = _parse_number(row[col[schema.time_column]], schema.time_column, line_number)
             d = _parse_number(row[col[schema.status_column]], schema.status_column, line_number)
+            if not np.isfinite(x):
+                raise DataValidationError(
+                    f"line {line_number}: covariate must be finite, got {x!r}", line_number
+                )
             if not np.isfinite(z) or z < 0.0:
                 raise DataValidationError(
                     f"line {line_number}: time must be finite and nonnegative, got {z!r}",

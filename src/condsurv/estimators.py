@@ -45,7 +45,7 @@ def _sort_order(z: np.ndarray, events: np.ndarray) -> np.ndarray:
     return np.lexsort((1.0 - events, z))
 
 
-def _query_weights(x_kern: np.ndarray, folded: bool, queries, h: float, kfn):
+def _query_weights(x_kern: np.ndarray, folded: bool, queries, h: float):
     """Normalized weights of each original point at each query covariate.
 
     `x_kern` holds one row of kernel covariates per weight row, or a single
@@ -60,7 +60,7 @@ def _query_weights(x_kern: np.ndarray, folded: bool, queries, h: float, kfn):
     """
     u = np.subtract(queries, x_kern)
     u /= h
-    k = kfn(u, out=u)
+    k = kernels._gaussian_density(u, out=u)
     if folded:
         k = k.reshape(k.shape[0], 3, -1).sum(axis=1)
     tot = k.sum(axis=1, keepdims=True)
@@ -137,7 +137,6 @@ class _CurveBatch:
         self._x_kern = _mirrored(np.take_along_axis(xs, orders, axis=1), support)
         self._folded = support is not None
         self.points = np.asarray(points, dtype=float)
-        self._kfn = kernels._density()
         self._counts = np.stack([np.searchsorted(z, self.points, side="right") for z in self.z])
         self._atoms = None
         self._masses: dict = {}
@@ -174,7 +173,7 @@ class _CurveBatch:
             for i in members:
                 x0, h = float(queries[i][0]), queries[i][1][0]
                 if g is None:
-                    w, ok = _query_weights(self._x_kern, self._folded, x0, h, self._kfn)
+                    w, ok = _query_weights(self._x_kern, self._folded, x0, h)
                     out[i] = reduce(x0, self._grid_values(w), ok)
                     continue
                 key = (x0, float(h))
@@ -203,39 +202,33 @@ class _CurveBatch:
 
     def _jump_masses(self, x0: float, h: float):
         """Rows with kernel mass, and each row's Beran jump mass per distinct event time."""
-        w, ok = _query_weights(self._x_kern, self._folded, float(x0), h, self._kfn)
+        w, ok = _query_weights(self._x_kern, self._folded, float(x0), h)
         if self._atoms is None:
             self._prepare_smooth()
         jumps = _jumps_from_survival(_product_limit_rows(w, self.d))
         agg = np.zeros_like(self._atoms)
-        for k in range(self.B):
-            if self._starts[k].size:
-                red = np.add.reduceat(jumps[k, self._event_idx[k]], self._starts[k])
-                agg[k, : red.size] = red
+        if self._runs.size:
+            agg.flat[self._slots] = np.add.reduceat(jumps.ravel()[self._events], self._runs)
         return ok, agg
 
     def _prepare_smooth(self):
         # jump masses live only at uncensored positions, so the integrated
-        # kernel tensor is built over the distinct uncensored times per row
-        event_idx, starts, uniq = [], [], []
-        for z, d in zip(self.z, self.d):
-            idx = np.flatnonzero(d == 1.0)
-            z_ev = z[idx]
-            st = (
-                np.concatenate(([0], np.flatnonzero(np.diff(z_ev) > 0.0) + 1))
-                if idx.size
-                else np.empty(0, dtype=int)
-            )
-            event_idx.append(idx)
-            starts.append(st)
-            uniq.append(z_ev[st])
-        atoms = np.full((self.B, max(1, max(u.size for u in uniq))), np.inf)
-        for k, u in enumerate(uniq):
-            atoms[k, : u.size] = u
-        self._event_idx = event_idx
-        self._starts = starts
-        self._atoms = atoms
-        self._tensor_slots = max(1, _TENSOR_CACHE_BYTES // (8 * atoms.size * self.points.size))
+        # kernel tensor is built over the distinct uncensored times per row.
+        # An event starts a run of tied events unless the position before it
+        # in its row holds the same time (events sort first at ties, so that
+        # position is then an event of the run); each run fills one atom slot.
+        z = self.z.ravel()
+        n = self.z.shape[1]
+        self._events = np.flatnonzero(self.d.ravel() == 1.0)
+        starts = (self._events % n == 0) | (z[self._events - 1] != z[self._events])
+        self._runs = np.flatnonzero(starts)
+        rows = self._events[self._runs] // n
+        rank = np.arange(rows.size) - np.searchsorted(rows, rows)  # the run's place in its row
+        width = max(1, rank.max(initial=-1) + 1)
+        self._slots = rows * width + rank
+        self._atoms = np.full((self.B, width), np.inf)
+        self._atoms.flat[self._slots] = z[self._events[self._runs]]
+        self._tensor_slots = max(1, _TENSOR_CACHE_BYTES // (8 * self._atoms.size * self.points.size))
 
     def _ik_tensor(self, g: float) -> np.ndarray:
         tensor = self.points[None, :, None] - self._atoms[:, None, :]  # each tensor is IK(tensor / g)
@@ -277,7 +270,7 @@ def beran_weights(
         If every kernel value is zero (x0 too far from all covariates at h).
     """
     h = _validate_bandwidth(h, "h")
-    w, ok = _query_weights(_mirrored(sample.x, support)[None, :], False, float(x0), h, kernels._density())
+    w, ok = _query_weights(_mirrored(sample.x, support)[None, :], False, float(x0), h)
     if not ok[0]:
         raise DegenerateWeightsError(
             f"all kernel weights vanish at x0={x0!r} with bandwidth h={h!r}"

@@ -1,25 +1,22 @@
-"""Truncated-Gaussian kernel primitives and covariate boundary reflection.
+"""The one Gaussian kernel of condsurv and covariate boundary reflection.
 
-This module fixes the one kernel, DEFAULT_KERNEL, that every estimator and
-resampler uses; the primitives that take a KernelSpec serve diagnostics and
-tests.
+Every estimator and resampler uses one kernel with no settable parts:
+  K(u)  = exp(-u^2/2)/sqrt(2 pi), the standard normal density
+  IK(t) = ndtr(t), its distribution function
+  noise = clip(ndtri(U), -50, 50) for U uniform on [0, 1)
 
-Conventions:
-  K(u)  renormalized Gaussian density on the truncation range, 0 outside
-  IK(t) = integral of K over (-inf, t], clamped to 0 below the range and 1 above
-
-With the default (-50, 50) range the truncation mass is exactly 1.0 in double
-precision, so K and IK coincide bit-for-bit with the untruncated normal pdf/cdf,
-which is what the estimators and the resampler evaluate.
-The cdf and the noise use scipy's ndtr and ndtri, which _ufuncs loads on first
-use without the scipy.special package init and its array-API backends.
+It is the Gaussian truncated to (-50, 50), whose mass is exactly 1.0 in
+double precision, so the truncation shows only in the clip of the noise.
+KernelSpec and DEFAULT_KERNEL name that kernel for the public primitives,
+which take them only for their call form.  The cdf and the noise use
+scipy's ndtr and ndtri, which _ufuncs loads on first use without the
+scipy.special package init and its array-API backends.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib.util
-import math
 import sys
 import types
 from dataclasses import dataclass
@@ -58,58 +55,30 @@ def _ufuncs():
     return ndtr, ndtri
 
 
-def _phi(x: float) -> float:
-    """Standard normal cdf of one scalar; exactly 0.0 at -50 and 1.0 at 50, as ndtr."""
-    return 0.5 * math.erfc(-x / math.sqrt(2.0))
-
-
 @dataclass(frozen=True)
 class KernelSpec:
-    """Kernel family and truncation range in kernel-argument units."""
+    """The one kernel: the Gaussian on (-50, 50); it takes no arguments."""
 
-    family: str = "truncated-gaussian"
-    truncation_range: tuple[float, float] = (-50.0, 50.0)
-
-    def __post_init__(self):
-        if self.family != "truncated-gaussian":
-            raise ValueError(f"unsupported kernel family: {self.family!r}")
-        low, high = self.truncation_range
-        if not (np.isfinite(low) and np.isfinite(high) and low < high):
-            raise ValueError("truncation range must be a finite (low, high) with low < high")
-
-    @property
-    def mass(self) -> float:
-        """Gaussian probability mass inside the truncation range."""
-        low, high = self.truncation_range
-        return _phi(high) - _phi(low)
+    family = "truncated-gaussian"
+    truncation_range = (-50.0, 50.0)
 
 
 DEFAULT_KERNEL = KernelSpec()
 
 
-def _scalar_like(value, template):
-    if np.ndim(template) == 0:
-        return float(value)
-    return value
-
-
 def eval_kernel(spec: KernelSpec, u) -> float | np.ndarray:
-    """Renormalized truncated-Gaussian density at u; 0 outside the range."""
-    uu = np.asarray(u, dtype=float)
-    low, high = spec.truncation_range
-    dens = np.exp(-0.5 * uu * uu) * (_INV_SQRT_2PI / spec.mass)
-    dens = np.where((uu < low) | (uu > high), 0.0, dens)
-    return _scalar_like(dens, u)
+    """Kernel density K at u; `spec` is DEFAULT_KERNEL."""
+    return _gaussian_density(np.asarray(u, dtype=float))
 
 
 def eval_integrated_kernel(spec: KernelSpec, t) -> float | np.ndarray:
-    """Kernel distribution function at t, clamped to 0/1 outside the range."""
-    ndtr = _ufuncs()[0]
-    tt = np.asarray(t, dtype=float)
-    low, high = spec.truncation_range
-    core = (ndtr(tt) - ndtr(low)) / spec.mass
-    out = np.where(tt <= low, 0.0, np.where(tt >= high, 1.0, np.clip(core, 0.0, 1.0)))
-    return _scalar_like(out, t)
+    """Kernel distribution function IK at t; `spec` is DEFAULT_KERNEL."""
+    return _cdf()(np.asarray(t, dtype=float))
+
+
+def kernel_rvs(spec: KernelSpec, rng: np.random.Generator, size: int) -> np.ndarray:
+    """Inverse-transform draws from the kernel; `spec` is DEFAULT_KERNEL."""
+    return _noise(rng, size)
 
 
 def _gaussian_density(u, out=None):
@@ -123,28 +92,14 @@ def _gaussian_density(u, out=None):
     return out if out.ndim else out[()]
 
 
-def kernel_rvs(spec: KernelSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Inverse-transform draws from the kernel density."""
-    ndtr, ndtri = _ufuncs()
-    low, high = spec.truncation_range
-    u = rng.random(size)
-    with np.errstate(divide="ignore"):
-        t = ndtri(ndtr(low) + u * spec.mass)
-    return np.clip(t, low, high)
-
-
-# The one kernel every estimator and resampler uses.  Callers bind these
-# when they run, not at import, so the kernel's dependencies load on first use.
-def _density():
-    return _gaussian_density
-
-
+# Callers bind the cdf when they run, not at import, so scipy loads on first use.
 def _cdf():
     return _ufuncs()[0]
 
 
 def _noise(rng: np.random.Generator, size: int) -> np.ndarray:
-    return kernel_rvs(DEFAULT_KERNEL, rng, size)
+    with np.errstate(divide="ignore"):  # ndtri(0) is -inf, clipped to the range
+        return np.clip(_ufuncs()[1](rng.random(size)), *KernelSpec.truncation_range)
 
 
 def fold_into_support(x, support: tuple[float, float]) -> np.ndarray:

@@ -142,14 +142,14 @@ def _conditional_laws(sample, bandwidth, support):
     nearest sample covariate and counts as a retried draw.  Every step is
     row-wise, so a row does not depend on the block it is in.
     """
-    x_kern, folded, kfn = _mirrored(sample.x, support), support is not None, kernels._density()
+    x_kern, folded = _mirrored(sample.x, support), support is not None
     events = (sample.delta, 1.0 - sample.delta)
     orders = [_sort_order(sample.z, e) for e in events]
     events = [e[order] for e, order in zip(events, orders)]
     same_order = np.array_equal(*orders)
 
     def weights(queries):
-        return _query_weights(x_kern, folded, queries[:, None], bandwidth, kfn)
+        return _query_weights(x_kern, folded, queries[:, None], bandwidth)
 
     def laws(block, diag=None):
         w, ok = weights(block)

@@ -99,6 +99,20 @@ class TestErrors:
         assert code == 2
         assert json.loads(err_path.read_text())["line_number"] == 2
 
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_non_finite_covariate_records_line_number(self, tmp_path, x):
+        bad = write_data(tmp_path, f"x,z,delta\n0.5,2,1\n{x},1,0\n", name="bad3.csv")
+        err_path = tmp_path / "err3.json"
+        code = main([
+            "fit", "--data", bad, "--estimator", "kaplan-meier",
+            "--out", str(tmp_path / "x"), "--error-json", str(err_path),
+        ])
+        assert code == 2
+        record = json.loads(err_path.read_text())
+        assert record["error"] == "DataValidationError"
+        assert record["line_number"] == 3
+        assert "covariate must be finite" in record["message"]
+
     def test_numerical_error_exit_3(self, tmp_path):
         rng = np.random.default_rng(5)
         rows = ["x,z,delta"]

@@ -246,6 +246,37 @@ def test_single_curve_is_a_batch_of_one(censoring, support):
         )
 
 
+def test_jump_masses_on_tied_times_match_a_per_row_reference():
+    from condsurv.estimators import _CurveBatch, _query_weights
+
+    rng = np.random.default_rng(31)
+    n = 120
+    samples = [SurvivalSample(x=rng.random(n), z=rng.integers(0, 7, n), delta=rng.random(n) < 0.7)
+               for _ in range(5)]
+    samples.insert(2, SurvivalSample(x=rng.random(n), z=rng.integers(0, 7, n), delta=np.zeros(n)))
+    # rows of one time each: a row's first event ties the row before's last time
+    samples += [SurvivalSample(x=rng.random(n), z=np.full(n, 6.0), delta=rng.random(n) < p) for p in (1.0, 0.5)]
+    batch = _CurveBatch(samples, np.linspace(0.0, 7.0, 15), support=(0.0, 1.0))
+    ok, agg = batch._jump_masses(0.4, 0.2)
+    # reference: each row's event runs found and summed on their own
+    w, ok_ref = _query_weights(batch._x_kern, True, 0.4, 0.2)
+    jumps = _jumps_from_survival(_product_limit_rows(w, batch.d))
+    agg_ref, atoms_ref, longest = np.zeros_like(agg), np.full_like(agg, np.inf), 0
+    for k in range(batch.B):
+        idx = np.flatnonzero(batch.d[k] == 1.0)
+        if idx.size:
+            z_ev = batch.z[k, idx]
+            starts = np.concatenate(([0], np.flatnonzero(np.diff(z_ev) > 0.0) + 1))
+            agg_ref[k, : starts.size] = np.add.reduceat(jumps[k, idx], starts)
+            atoms_ref[k, : starts.size] = z_ev[starts]
+            longest = max(longest, np.diff(np.append(starts, idx.size)).max())
+    assert longest == n and agg.shape == (8, 7)
+    np.testing.assert_array_equal(agg, agg_ref)
+    np.testing.assert_array_equal(batch._atoms, atoms_ref)
+    np.testing.assert_array_equal(ok, ok_ref)
+    assert not agg[2].any() and np.isinf(batch._atoms[2]).all()
+
+
 def test_one_call_builds_each_g_once_and_answers_in_query_order(monkeypatch):
     # with room for one tensor, interleaved g would rebuild g1 if queries ran in the order given
     import condsurv.estimators as estimators
@@ -287,10 +318,9 @@ def test_product_limit_rows_match_reference_bit_for_bit():
 @pytest.mark.parametrize("support", [None, (0.0, 1.0)])
 def test_query_weights_and_sorted_product_limit_match_reference(tied, support):
     from condsurv.estimators import _query_weights, _sort_order
-    from condsurv.kernels import _density, _mirrored
+    from condsurv.kernels import _mirrored
 
     rng = np.random.default_rng(9)
-    kfn = _density()
     for n in (3, 25, 120):
         s = random_sample(rng, n)
         z = np.round(s.z, 1) if tied else s.z
@@ -300,7 +330,7 @@ def test_query_weights_and_sorted_product_limit_match_reference(tied, support):
         # a column of queries, some far enough out that every weight underflows
         queries = np.concatenate([rng.random(30), [40.0, -40.0]])[:, None]
         for h in (0.01, 0.2, 3.0):
-            w, ok = _query_weights(x_kern, folded, queries, h, kfn)
+            w, ok = _query_weights(x_kern, folded, queries, h)
             w_ref, ok_ref = reference_query_weights(x_kern, folded, queries, h)
             np.testing.assert_array_equal(w, w_ref)
             np.testing.assert_array_equal(ok, ok_ref)
@@ -310,7 +340,7 @@ def test_query_weights_and_sorted_product_limit_match_reference(tied, support):
             )
         # one scalar query against a matrix of per-sample covariates
         x_rows = np.stack([x_kern, x_kern[::-1]])
-        w, ok = _query_weights(x_rows, folded, 0.3, 0.1, kfn)
+        w, ok = _query_weights(x_rows, folded, 0.3, 0.1)
         w_ref, ok_ref = reference_query_weights(x_rows, folded, 0.3, 0.1)
         np.testing.assert_array_equal(w, w_ref)
         np.testing.assert_array_equal(ok, ok_ref)

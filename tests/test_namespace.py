@@ -11,11 +11,14 @@ MODULES = ["bandwidth", "benchmark", "dataio", "estimators", "kernels", "regions
 RETIRED = {
     "bandwidth": ["PilotBandwidths", "bootstrap_mse_pointwise"],
     "benchmark": ["time_bandwidth_selection"],
-    "kernels": ["_is_effectively_untruncated", "kernel_fn", "integrated_kernel_fn", "reflect_covariates"],
+    "kernels": ["_is_effectively_untruncated", "kernel_fn", "integrated_kernel_fn", "reflect_covariates",
+                "_phi", "_density"],
     "regions": ["lp_distance"],
 }
 
 RETIRED_PARAMETERS = {
+    ("estimators", "_query_weights"): ["kfn"],
+    ("kernels", "KernelSpec"): ["family", "truncation_range"],
     ("regions", "method2_radius"): ["p"],
     ("regions", "region_method2"): ["norm"],
     ("resampling", "inverse_transform_sample"): ["support", "tol"],
