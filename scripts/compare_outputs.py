@@ -27,7 +27,10 @@ file it also prints |dh*| and |dg*| in cells of its search box, a cell being
 (high - low)/31 (the default 32-point grid), and the smallest finite
 objective of each trace.  ``timings.json`` is skipped.  The last line counts
 the files compared, the byte-identical and differing ones, and the commands
-that failed.  Exit status 0 means every file is byte-identical, 1 that some
+that failed.  A file whose bytes differ while all its numbers and strings
+agree is reported as ``same values; line endings differ`` when the bytes
+agree once CRLF is read as LF, and as ``same values; text differs``
+otherwise.  Exit status 0 means every file is byte-identical, 1 that some
 file differs, 2 that a command failed.
 """
 
@@ -89,9 +92,16 @@ def _json_deltas(a, b, path: str, deltas: dict, mismatched: list) -> None:
         for i, (x, y) in enumerate(zip(a, b)):
             _json_deltas(x, y, f"{path}[{i}]", deltas, mismatched)
     elif _is_number(a) and _is_number(b):
-        deltas[path] = abs(float(a) - float(b))
+        deltas[path] = _delta(float(a), float(b))
     elif a != b:
         mismatched.append(path)
+
+
+def _delta(x: float, y: float) -> float:
+    """|x - y|: 0 for equal values, infinities and a pair of nans included; inf when one side alone is nan."""
+    if x == y or (math.isnan(x) and math.isnan(y)):
+        return 0.0
+    return math.inf if math.isnan(x) or math.isnan(y) else abs(x - y)
 
 
 def _is_number(value) -> bool:
@@ -110,7 +120,7 @@ def _csv_deltas(a: Path, b: Path, deltas: dict, mismatched: list) -> None:
     for r, (row_a, row_b) in enumerate(zip(rows[0][1:], rows[1][1:]), start=1):
         for c, (x, y) in enumerate(zip(row_a, row_b)):
             try:
-                deltas[f"row {r} {header[c]}"] = abs(float(x) - float(y))
+                deltas[f"row {r} {header[c]}"] = _delta(float(x), float(y))
             except ValueError:
                 if x != y:
                     mismatched.append(f"row {r} {header[c]}")
@@ -134,7 +144,8 @@ def _collapsed(place: str) -> str:
 
 def compare_file(a: Path, b: Path) -> tuple[bool, str]:
     """(bytes equal, description) for one output file present in both trees."""
-    if a.read_bytes() == b.read_bytes():
+    texts = [path.read_bytes() for path in (a, b)]
+    if texts[0] == texts[1]:
         return True, "equal"
     deltas: dict = {}
     mismatched: list = []
@@ -151,10 +162,13 @@ def compare_file(a: Path, b: Path) -> tuple[bool, str]:
         parts.append(f"max|d|={deltas[worst]:.3g} at {worst}")
     moved: dict = {}
     for place, d in deltas.items():
-        if d > 0.0:
+        if d != 0.0:
             place = _collapsed(place)
             count, largest = moved.get(place, (0, 0.0))
             moved[place] = (count + 1, max(largest, d))
+    if not (moved or mismatched):  # the bytes differ, but no number or string does
+        same_lines = texts[0].replace(b"\r\n", b"\n") == texts[1].replace(b"\r\n", b"\n")
+        return False, "same values; " + ("line endings differ" if same_lines else "text differs")
     if moved:
         parts.append("moved: " + ", ".join(f"{place} ({count}, max|d|={d:.3g})"
                                            for place, (count, d) in moved.items()))

@@ -12,7 +12,6 @@ reports do not depend on the worker count.
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import asdict, dataclass, field
 from functools import partial
@@ -32,7 +31,7 @@ from .bandwidth import (
     pilot_r,
     select_bandwidth_1d,
 )
-from .dataio import _write_json
+from .dataio import _write_csv, _write_json
 from .estimators import _CurveBatch
 from .regions import _check_alpha, _region
 from .resampling import SCHEME_BERAN, ResamplingPlan, child_seed, substream
@@ -75,8 +74,6 @@ class BenchConfig:
     methods: tuple[int, ...] = (1, 2)
     bandwidth_h: float | None = None
     bandwidth_g: float | None = None
-    box_h: tuple[float, float] | None = None
-    box_g: tuple[float, float] | None = None
     mise_samples: int = 100
     mise_grid: int = 24
     workers: int = 1
@@ -360,8 +357,8 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     # the upper end stops at one covariate spread: beyond it the weights are
     # effectively uniform and the estimate degenerates to the marginal curve
     spread = _quantile_spread(reference.x)
-    box_h = config.box_h or (0.05 * spread, spread)
-    box_g = config.box_g or default_time_box(reference)
+    box_h = (0.05 * spread, spread)
+    box_g = default_time_box(reference)
     deadline = None
     if config.budget_seconds is not None:
         deadline = time.perf_counter() + config.budget_seconds
@@ -462,22 +459,13 @@ def write_report(report: BenchReport, out_dir) -> None:
             ("mean_rmise_at_selected", bm.mean_rmise_selected),
             ("R_bar", bm.r_bar),
         ]
-        with open(out / "bandwidth_table.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric", "value"])
-            for name, value in rows:
-                if value is not None:
-                    writer.writerow([name, f"{value:.17g}"])
+        _write_csv(out / "bandwidth_table.csv", ["metric", "value"], [row for row in rows if row[1] is not None])
     if report.mode == "regions" and report.region_metrics_by_method is not None:
-        methods = sorted(report.region_metrics_by_method)
-        with open(out / "region_table.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["metric"] + methods)
-            for name in ("average_width", "coverage", "pointwise_coverage", "iws"):
-                row = [name]
-                for m in methods:
-                    row.append(f"{report.region_metrics_by_method[m][name]:.17g}")
-                writer.writerow(row)
+        by_method = report.region_metrics_by_method
+        methods = sorted(by_method)
+        _write_csv(out / "region_table.csv", ["metric", *methods],
+                   [[name, *(by_method[m][name] for m in methods)]
+                    for name in ("average_width", "coverage", "pointwise_coverage", "iws")])
 
 
 def scaling_study(

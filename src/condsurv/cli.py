@@ -19,7 +19,7 @@ import numpy as np
 from . import __version__
 from .bandwidth import _resampling_plan, _select, _validate_boxes, default_covariate_box, default_time_box
 from .benchmark import BenchConfig, make_model, run_benchmark, scaling_study, write_report
-from .dataio import DatasetSchema, _write_json, filter_subpopulation, load_csv
+from .dataio import DatasetSchema, _write_csv, _write_json, filter_subpopulation, load_csv
 from .errors import (
     DataValidationError,
     DegenerateVarianceError,
@@ -251,13 +251,6 @@ def _build_grid(args, sample) -> TimeGrid:
     return TimeGrid.uniform(t_max, args.n_grid)
 
 
-def _write_curve_csv(path, grid, values) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("t,s_hat\n")
-        for t, v in zip(grid.points, values):
-            fh.write(f"{t:.17g},{v:.17g}\n")
-
-
 def _x0_tag(x0: float) -> str:
     return f"{x0:g}".replace("-", "m").replace(".", "p")
 
@@ -293,7 +286,7 @@ def _cmd_fit(args) -> int:
     }
     if args.estimator == "kaplan-meier":
         curve = kaplan_meier(sample, grid)
-        _write_curve_csv(f"{args.out}_km.csv", grid, curve.values)
+        _write_csv(f"{args.out}_km.csv", ["t", "s_hat"], zip(grid.points, curve.values))
         _write_json(f"{args.out}_km.json", meta_common | {"h": None, "g": None, "x0": None})
         return EXIT_OK
     if args.h is None:
@@ -307,8 +300,8 @@ def _cmd_fit(args) -> int:
             curve = beran_survival(sample, x0, args.h, grid, support=args.support)
         else:
             curve = smoothed_beran_survival(sample, x0, args.h, args.g, grid, support=args.support)
-        _write_curve_csv(f"{stem}.csv", grid, curve.values)
-        _write_json(f"{stem}.json", meta_common | {"h": args.h, "g": args.g, "x0": x0})
+        _write_csv(f"{stem}.csv", ["t", "s_hat"], zip(grid.points, curve.values))
+        _write_json(f"{stem}.json", meta_common | {"h": args.h, "g": curve.g, "x0": x0})
     return EXIT_OK
 
 
@@ -364,7 +357,9 @@ def _cmd_region(args) -> int:
 def _cmd_simulate(args) -> int:
     if getattr(args, "mode", None) == "scaling":
         model = make_model(args.model, args.censoring)
-        sizes = [int(v) for v in _float_list(args.sizes)]
+        sizes = _float_list(args.sizes)
+        if not all(v >= 1.0 and v.is_integer() for v in sizes):
+            raise ValueError(f"--sizes expects whole numbers of at least 1, got {args.sizes!r}")
         result = scaling_study(model, sizes, args.B, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

@@ -1,10 +1,12 @@
-"""CSV ingestion and subpopulation filtering for real censored datasets.
+"""CSV ingestion and subpopulation filtering for real censored datasets, and
+the one CSV and one JSON layout of every file condsurv writes.
 
 The expected layout is a header row naming at least the covariate, time and
-status columns (defaults x, z, delta), comma separated, UTF-8, "." decimal
-point.  Status is 1 for an observed event and 0 for a censored row.  Extra
-columns may be declared as categorical factors and used to filter
-subpopulations.
+status columns (defaults x, z, delta), comma separated, UTF-8 with an
+optional byte-order mark (spreadsheet "CSV UTF-8" exports start with one),
+"." decimal point.  Status is 1 for an observed event and 0 for a censored
+row.  Extra columns may be declared as categorical factors and used to
+filter subpopulations.
 """
 
 from __future__ import annotations
@@ -49,14 +51,6 @@ class LoadedDataset:
     def n(self) -> int:
         return self.sample.n
 
-    @property
-    def censoring_fraction(self) -> float:
-        return self.sample.censoring_fraction
-
-    @property
-    def factor_levels(self) -> dict:
-        return {name: sorted(set(values)) for name, values in self.factors.items()}
-
 
 def _parse_number(raw: str, column: str, line_number: int) -> float:
     try:
@@ -76,7 +70,7 @@ def load_csv(path, schema: DatasetSchema = DatasetSchema()) -> LoadedDataset:
     EmptyDatasetError when no data rows remain.
     """
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -136,19 +130,22 @@ def save_csv(dataset, path, schema: DatasetSchema = DatasetSchema()) -> None:
         dataset = LoadedDataset(sample=dataset)
     sample = dataset.sample
     names = list(dataset.factors)
+    columns = [sample.x, sample.z, [str(int(d)) for d in sample.delta]]
+    columns += [[str(v) for v in dataset.factors[name]] for name in names]
+    _write_csv(path, [schema.covariate_column, schema.time_column, schema.status_column, *names],
+               zip(*columns))
+
+
+def _write_csv(path, header, rows) -> None:
+    """The one CSV layout: csv's default dialect (CRLF line ends), UTF-8, a header row.
+
+    Float cells (numpy float64 too) are written with 17 significant digits,
+    which round-trips a double exactly; every other cell is written as given.
+    """
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            [schema.covariate_column, schema.time_column, schema.status_column, *names]
-        )
-        for i in range(sample.n):
-            row = [
-                f"{sample.x[i]:.17g}",
-                f"{sample.z[i]:.17g}",
-                f"{int(sample.delta[i])}",
-            ]
-            row.extend(str(dataset.factors[name][i]) for name in names)
-            writer.writerow(row)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def _write_json(path, payload) -> None:

@@ -7,10 +7,10 @@ Every estimator and resampler uses one kernel with no settable parts:
 
 It is the Gaussian truncated to (-50, 50), whose mass is exactly 1.0 in
 double precision, so the truncation shows only in the clip of the noise.
-KernelSpec and DEFAULT_KERNEL name that kernel for the public primitives,
-which take them only for their call form.  The cdf and the noise use
-scipy's ndtr and ndtri, which _ufuncs loads on first use without the
-scipy.special package init and its array-API backends.
+KernelSpec and DEFAULT_KERNEL name that kernel for eval_kernel and
+eval_integrated_kernel, which take it only for their call form.  The cdf
+and the noise use scipy's ndtr and ndtri, which _ufuncs loads on first use
+without the scipy.special package init and its array-API backends.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_KERNEL",
     "eval_kernel",
     "eval_integrated_kernel",
-    "kernel_rvs",
     "fold_into_support",
 ]
 
@@ -74,11 +73,6 @@ def eval_kernel(spec: KernelSpec, u) -> float | np.ndarray:
 def eval_integrated_kernel(spec: KernelSpec, t) -> float | np.ndarray:
     """Kernel distribution function IK at t; `spec` is DEFAULT_KERNEL."""
     return _cdf()(np.asarray(t, dtype=float))
-
-
-def kernel_rvs(spec: KernelSpec, rng: np.random.Generator, size: int) -> np.ndarray:
-    """Inverse-transform draws from the kernel; `spec` is DEFAULT_KERNEL."""
-    return _noise(rng, size)
 
 
 def _gaussian_density(u, out=None):

@@ -12,17 +12,16 @@ constant-width band.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .bandwidth import _pilot_values, _resamples_or_generate
-from .dataio import _write_json
+from .dataio import _write_csv, _write_json
 from .errors import DegenerateVarianceError, DegenerateWeightsError, InsufficientReplicatesError
 from .estimators import _CurveBatch, _single_curve, _validate_bandwidth
 from .resampling import ResamplingPlan
-from .samples import SurvivalCurve, SurvivalSample, TimeGrid
+from .samples import SurvivalSample, TimeGrid
 
 __all__ = [
     "ConfidenceRegion",
@@ -62,12 +61,7 @@ class ConfidenceRegion:
 
 
 def _curve_matrix(curves) -> np.ndarray:
-    if isinstance(curves, np.ndarray):
-        mat = np.asarray(curves, dtype=float)
-    else:
-        mat = np.stack(
-            [c.values if isinstance(c, SurvivalCurve) else np.asarray(c, float) for c in curves]
-        )
+    mat = np.asarray(curves, dtype=float)
     if mat.ndim != 2:
         raise ValueError("curves must form a (B, n_T) matrix")
     return mat
@@ -243,11 +237,8 @@ def write_region_csv(region: ConfidenceRegion, csv_path, sidecar_path=None, extr
     `extra` entries (for example run metadata such as B or a version string)
     are merged into the sidecar.
     """
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "lower", "estimate", "upper"])
-        for t, lo, est, up in zip(region.grid.points, region.lower, region.estimate, region.upper):
-            writer.writerow([f"{v:.17g}" for v in (t, lo, est, up)])
+    _write_csv(csv_path, ["t", "lower", "estimate", "upper"],
+               zip(region.grid.points, region.lower, region.estimate, region.upper))
     if sidecar_path is not None:
         meta = {
             "method": region.method,

@@ -126,7 +126,3 @@ class SurvivalCurve:
         if np.any(np.diff(vals) > 5e-12):
             raise ValueError("survival values must be nonincreasing")
         object.__setattr__(self, "values", vals)
-
-    @property
-    def bandwidths(self) -> tuple[float | None, float | None]:
-        return (self.h, self.g)

@@ -40,6 +40,37 @@ class TestFit:
         assert meta["h"] == 1.0
         assert meta["seed"] is None
 
+    def test_curve_csv_golden_bytes(self, tmp_path):
+        data = write_data(tmp_path)
+        code = main([
+            "fit", "--data", data, "--estimator", "beran", "--x0", "0.5",
+            "--h", "1.0", "--n-grid", "4", "--t-max", "4.0", "--out", str(tmp_path / "fit"),
+        ])
+        assert code == 0
+        assert (tmp_path / "fit_x0p5.csv").read_bytes() == (
+            b"t,s_hat\r\n1,0.66666666666666674\r\n2,0.66666666666666674\r\n3,0\r\n4,0\r\n"
+        )
+
+    def test_beran_fit_records_no_time_bandwidth(self, tmp_path):
+        data = write_data(tmp_path)
+        code = main([
+            "fit", "--data", data, "--estimator", "beran", "--x0", "0.5", "--h", "1.0", "--g", "0.1",
+            "--n-grid", "4", "--t-max", "4.0", "--out", str(tmp_path / "fit"),
+        ])
+        assert code == 0
+        meta = json.loads((tmp_path / "fit_x0p5.json").read_text())
+        assert meta["h"] == 1.0 and meta["g"] is None
+
+    def test_data_with_a_byte_order_mark(self, tmp_path):
+        data = tmp_path / "bom.csv"
+        data.write_bytes(b"\xef\xbb\xbf" + BASIC.encode())
+        code = main([
+            "fit", "--data", str(data), "--estimator", "beran", "--x0", "0.5",
+            "--h", "1.0", "--n-grid", "4", "--t-max", "4.0", "--out", str(tmp_path / "bom"),
+        ])
+        assert code == 0
+        assert_allclose(read_curve(tmp_path / "bom_x0p5.csv")[:, 1], [2 / 3, 2 / 3, 0.0, 0.0], atol=1e-15)
+
     def test_kaplan_meier_ignores_x0(self, tmp_path):
         data = write_data(tmp_path)
         out = tmp_path / "km"
@@ -127,12 +158,10 @@ class TestErrors:
 
 
     def test_no_finite_mise_exits_3(self, tmp_path, monkeypatch):
-        import functools
+        import condsurv.benchmark as benchmark
 
-        import condsurv.cli as cli
-
-        # a covariate search box so narrow that every kernel weight underflows
-        monkeypatch.setattr(cli, "BenchConfig", functools.partial(cli.BenchConfig, box_h=(1e-7, 2e-7)))
+        # a covariate spread so small that the study box is (1e-8, 2e-7): every kernel weight underflows
+        monkeypatch.setattr(benchmark, "_quantile_spread", lambda values: 2e-7)
         err_path = tmp_path / "err.json"
         code = main([
             "simulate", "--n", "20", "--n-samples", "1", "--B", "2", "--n-grid", "8",
@@ -603,6 +632,20 @@ class TestBenchCommand:
             "--out", str(tmp_path / "scale"), "--error-json", str(err_path),
         ])
         assert code == 2 and "expected finite numbers" in json.loads(err_path.read_text())["message"]
+
+    @pytest.mark.parametrize("sizes", ["60.9,80", "0,80", "60,-80"])
+    def test_sizes_must_be_whole_numbers_of_at_least_one(self, tmp_path, monkeypatch, sizes):
+        import condsurv.cli as cli
+
+        monkeypatch.setattr(cli, "scaling_study", lambda *a, **k: pytest.fail("the study ran"))
+        err_path = tmp_path / "err.json"
+        code = main([
+            "bench", "--mode", "scaling", "--sizes", sizes, "--B", "2", "--seed", "3",
+            "--out", str(tmp_path / "scale"), "--error-json", str(err_path),
+        ])
+        record = json.loads(err_path.read_text())
+        assert code == 2 and record["error"] == "ValueError" and "whole numbers" in record["message"]
+        assert not (tmp_path / "scale").exists()
 
     def test_scaling_mode(self, tmp_path):
         out = tmp_path / "scale"

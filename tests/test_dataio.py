@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from condsurv import DatasetSchema, LoadedDataset, SurvivalSample, filter_subpopulation, load_csv, save_csv
+from condsurv.dataio import _write_csv
 from condsurv.errors import DataValidationError, EmptyDatasetError, SchemaError
 
 
@@ -19,7 +20,7 @@ class TestLoad:
     def test_basic_three_rows(self, tmp_path):
         ds = load_csv(write(tmp_path, BASIC))
         assert ds.n == 3
-        assert ds.censoring_fraction == pytest.approx(1 / 3)
+        assert ds.sample.censoring_fraction == pytest.approx(1 / 3)
         assert_allclose(ds.sample.x, [52.0, 71.5, 33.0])
         assert_allclose(ds.sample.z, [10.0, 21.0, 6.5])
         assert_allclose(ds.sample.delta, [1.0, 0.0, 1.0])
@@ -32,7 +33,7 @@ class TestLoad:
         text = "age,stay,event,sex\n40,3,1,male\n60,5,0,female\n70,8,1,female\n"
         schema = DatasetSchema("age", "stay", "event", filter_columns=("sex",))
         ds = load_csv(write(tmp_path, text), schema)
-        assert ds.factor_levels == {"sex": ["female", "male"]}
+        assert ds.factors["sex"].tolist() == ["male", "female", "female"]
         assert_allclose(ds.sample.x, [40.0, 60.0, 70.0])
 
     def test_bad_status_rejected_with_line_number(self, tmp_path):
@@ -94,6 +95,17 @@ class TestRoundTrip:
         save_csv(loaded, path2)
         assert path.read_bytes() == path2.read_bytes()
 
+    def test_save_csv_golden_bytes(self, tmp_path):
+        sample = SurvivalSample(x=[0.1, 0.25, 1e-20], z=[2.0, 1 / 3, 7.5], delta=[1, 0, 1])
+        path = tmp_path / "golden.csv"
+        save_csv(LoadedDataset(sample=sample, factors={"ward": np.array(["ICU", "général", "ICU"])}), path)
+        assert path.read_bytes() == (
+            b"x,z,delta,ward\r\n"
+            b"0.10000000000000001,2,1,ICU\r\n"
+            b"0.25,0.33333333333333331,0,g\xc3\xa9n\xc3\xa9ral\r\n"
+            b"9.9999999999999995e-21,7.5,1,ICU\r\n"
+        )
+
     def test_save_bare_sample(self, tmp_path):
         sample = SurvivalSample(x=[0.125], z=[3.0], delta=[1])
         path = tmp_path / "one.csv"
@@ -147,3 +159,14 @@ class TestFilter:
         ds = self._dataset(tmp_path)
         with pytest.raises(SchemaError):
             filter_subpopulation(ds, {"ward": "icu"})
+
+
+def test_write_csv_golden_bytes(tmp_path):
+    # floats, numpy floats included, get 17 significant digits; other cells are written as given
+    path = tmp_path / "table.csv"
+    _write_csv(path, ["value", "label"], [(0.1, "ward"), (np.float64(1.0) / 3.0, 'icu, "step-down"')])
+    assert path.read_bytes() == (
+        b"value,label\r\n"
+        b"0.10000000000000001,ward\r\n"
+        b'0.33333333333333331,"icu, ""step-down"""\r\n'
+    )

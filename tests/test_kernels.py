@@ -10,7 +10,7 @@ from scipy.integrate import quad
 from conftest import fresh_python
 from condsurv import DEFAULT_KERNEL, KernelSpec, SurvivalSample, eval_integrated_kernel, eval_kernel
 from condsurv import kernels
-from condsurv.kernels import _gaussian_density, _mirrored, fold_into_support, kernel_rvs
+from condsurv.kernels import _gaussian_density, _mirrored, _noise, fold_into_support
 
 
 def test_kernel_zero_outside_truncation_range():
@@ -96,8 +96,7 @@ def test_fast_paths_match_generic_evaluation():
     with np.errstate(divide="ignore"):
         draws = np.clip(ndtri(ndtr(low) + uniforms * mass), low, high)
     assert draws[-6] == low and draws[-2] == 0.0
-    assert kernel_rvs(DEFAULT_KERNEL, _FixedUniforms(uniforms), uniforms.size).tobytes() == draws.tobytes()
-    assert kernels._noise(_FixedUniforms(uniforms), uniforms.size).tobytes() == draws.tobytes()
+    assert _noise(_FixedUniforms(uniforms), uniforms.size).tobytes() == draws.tobytes()
 
 
 def test_gaussian_density_writes_into_out():
@@ -123,10 +122,10 @@ def test_kernel_spec_validation():
     assert KernelSpec() == DEFAULT_KERNEL
 
 
-def test_kernel_rvs_range_and_determinism():
-    draws = kernel_rvs(DEFAULT_KERNEL, np.random.default_rng(5), 50_000)
+def test_noise_range_and_determinism():
+    draws = _noise(np.random.default_rng(5), 50_000)
     assert np.all(draws >= -50.0) and np.all(draws <= 50.0)
-    again = kernel_rvs(DEFAULT_KERNEL, np.random.default_rng(5), 50_000)
+    again = _noise(np.random.default_rng(5), 50_000)
     assert draws.tobytes() == again.tobytes()
     assert abs(draws.mean()) < 0.02
     assert abs(draws.std() - 1.0) < 0.02

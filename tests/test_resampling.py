@@ -252,7 +252,7 @@ class TestResample:
 
 def reference_smoothed_resample(sample, plan, support):
     """The smoothed scheme written with the plain reference expressions, one gather per law."""
-    from condsurv.kernels import DEFAULT_KERNEL, _mirrored, fold_into_support, kernel_rvs
+    from condsurv.kernels import _mirrored, _noise, fold_into_support
 
     n, max_time = sample.n, float(sample.z.max())
     x_kern = _mirrored(sample.x, support)
@@ -262,8 +262,8 @@ def reference_smoothed_resample(sample, plan, support):
     for k in range(plan.B):
         rng = substream(plan.seed, k)
         j = rng.integers(0, n, size=n)
-        x_star = fold_into_support(sample.x[j] + plan.pilot_r * kernel_rvs(DEFAULT_KERNEL, rng, n), support)
-        draws = [(rng.random(n), kernel_rvs(DEFAULT_KERNEL, rng, n)) for _ in laws]
+        x_star = fold_into_support(sample.x[j] + plan.pilot_r * _noise(rng, n), support)
+        draws = [(rng.random(n), _noise(rng, n)) for _ in laws]
         w, ok = reference_query_weights(x_kern, True, x_star[:, None], plan.pilot_r)
         assert ok.all()
         times = []
