@@ -32,8 +32,6 @@ from .resampling import (
 )
 from .bandwidth import (
     BandwidthSelection,
-    bootstrap_mise_1d,
-    bootstrap_mise_2d,
     default_covariate_box,
     default_time_box,
     pilot_r,
@@ -56,9 +54,7 @@ from .simulation import SimModel, generate_sample, make_model, true_survival
 from .benchmark import (
     BenchConfig,
     BenchReport,
-    mc_mise,
     mise_optimal_1d,
-    mise_optimal_2d,
     region_metrics,
     relative_metrics,
     run_benchmark,
@@ -95,8 +91,6 @@ __all__ = [
     "resample",
     "substream",
     "BandwidthSelection",
-    "bootstrap_mise_1d",
-    "bootstrap_mise_2d",
     "default_covariate_box",
     "default_time_box",
     "pilot_r",
@@ -118,9 +112,7 @@ __all__ = [
     "true_survival",
     "BenchConfig",
     "BenchReport",
-    "mc_mise",
     "mise_optimal_1d",
-    "mise_optimal_2d",
     "region_metrics",
     "relative_metrics",
     "run_benchmark",

@@ -26,8 +26,6 @@ __all__ = [
     "pilot_s",
     "default_covariate_box",
     "default_time_box",
-    "bootstrap_mise_1d",
-    "bootstrap_mise_2d",
     "select_bandwidth_1d",
     "select_bandwidth_2d",
 ]
@@ -116,61 +114,15 @@ def _resamples_or_generate(sample, plan, support, resamples):
     return resample(sample, plan, support)[0]
 
 
-def _check_scheme(plan, n_bandwidths: int, name: str) -> None:
-    # one bandwidth goes with the beran scheme, the pair (h, g) with the smoothed one
-    scheme = SCHEME_BERAN if n_bandwidths == 1 else SCHEME_SMOOTHED
-    if plan.scheme != scheme:
-        raise ValueError(f"{name} requires a {scheme}-scheme plan")
-
-
 def _pilot_values(sample, x0, plan, points, support):
     g = plan.pilot_s if plan.scheme == SCHEME_SMOOTHED else None
     return _single_curve(sample, x0, plan.pilot_r, points, support, g)
 
 
-def _bootstrap_mise(sample, x0, bandwidths, plan, grid, support, resamples) -> float:
-    """Resample mean of the grid Riemann sum of (curve - pilot)^2."""
-    _check_scheme(plan, len(bandwidths), f"bootstrap_mise_{len(bandwidths)}d")
-    rs = _resamples_or_generate(sample, plan, support, resamples)
-    batch = _CurveBatch(rs, grid.points, support)
-    pilot = _pilot_values(sample, x0, plan, grid.points, support)
-    values, ok = batch.values([(x0, tuple(float(b) for b in bandwidths))])[0]
-    return _mean_integrated_sq(values, ok, pilot, grid.cell_widths)
-
-
-def bootstrap_mise_1d(
-    sample: SurvivalSample,
-    x0: float,
-    h: float,
-    plan: ResamplingPlan,
-    grid: TimeGrid,
-    support: tuple[float, float] | None = None,
-    resamples=None,
-) -> float:
-    """Monte Carlo bootstrap MISE of Beran's estimator at candidate bandwidth h.
-
-    Averages the grid Riemann sum of (bootstrap curve - pilot curve)^2 over
-    the plan's resamples; +inf when the weights at x0 degenerate for this h.
-    """
-    return _bootstrap_mise(sample, x0, (h,), plan, grid, support, resamples)
-
-
-def bootstrap_mise_2d(
-    sample: SurvivalSample,
-    x0: float,
-    h: float,
-    g: float,
-    plan: ResamplingPlan,
-    grid: TimeGrid,
-    support: tuple[float, float] | None = None,
-    resamples=None,
-) -> float:
-    """Bootstrap MISE of the smoothed estimator at the candidate pair (h, g)."""
-    return _bootstrap_mise(sample, x0, (h, g), plan, grid, support, resamples)
-
-
-def _validate_boxes(boxes) -> tuple:
-    """The search intervals as (low, high) floats, checked to satisfy 0 < low < high < inf."""
+def _validate_boxes(boxes, strategy, grid_size) -> tuple:
+    """The search intervals as (low, high) floats, checked to satisfy 0 < low < high < inf, and the grid size."""
+    if strategy == "grid" and grid_size < 1:
+        raise ValueError(f"a grid search needs at least one point per axis, got grid_size={grid_size!r}")
     labels = ("search box",) if len(boxes) == 1 else ("covariate search box", "time search box")
     checked = []
     for box, name in zip(boxes, labels):
@@ -211,8 +163,6 @@ def _levels(boxes, strategy, grid_size, trace):
         return points
 
     if strategy == "grid":
-        if grid_size < 1:
-            raise ValueError(f"a grid search needs at least one point per axis, got grid_size={grid_size!r}")
         yield unseen([np.linspace(lo, hi, grid_size) for lo, hi in boxes])
     elif strategy == "multistart":
         # candidates are integer steps of one lattice, so a point met again is recognized
@@ -255,8 +205,11 @@ def _select(sample, x0s, boxes, plan, grid, strategy, grid_size, support, resamp
     is charged to the first x0, in the order given, whose level needs that
     g, so the `tensor_builds` counts sum to the builds made.
     """
-    _check_scheme(plan, len(boxes), f"select_bandwidth_{len(boxes)}d")
-    boxes = _validate_boxes(boxes)
+    # one bandwidth goes with the beran scheme, the pair (h, g) with the smoothed one
+    scheme = SCHEME_BERAN if len(boxes) == 1 else SCHEME_SMOOTHED
+    if plan.scheme != scheme:
+        raise ValueError(f"select_bandwidth_{len(boxes)}d requires a {scheme}-scheme plan")
+    boxes = _validate_boxes(boxes, strategy, grid_size)
     x0s = [float(x0) for x0 in x0s]
     pilots = {x0: _pilot_values(sample, x0, plan, grid.points, support) for x0 in x0s}
     widths = grid.cell_widths

@@ -26,6 +26,7 @@ from .bandwidth import (
     _resampling_plan,
     _search,
     _select,
+    _validate_boxes,
     default_covariate_box,
     default_time_box,
     pilot_r,
@@ -43,9 +44,7 @@ __all__ = [
     "BenchReport",
     "BandwidthMetrics",
     "RegionMetrics",
-    "mc_mise",
     "mise_optimal_1d",
-    "mise_optimal_2d",
     "relative_metrics",
     "winkler_scores",
     "region_metrics",
@@ -151,28 +150,6 @@ class BenchReport:
     regions: dict | None = field(default=None, repr=False)
 
 
-def mc_mise(
-    model: SimModel,
-    estimator: str,
-    h: float | None = None,
-    g: float | None = None,
-    *,
-    n_samples: int,
-    n: int,
-    grid: TimeGrid,
-    seed: int,
-) -> float:
-    """Monte Carlo MISE of an estimator against the model truth at x0.
-
-    `estimator` is "beran" or "smoothed-beran".  Fresh samples are drawn
-    from streams (seed, j).
-    """
-    if estimator not in ("beran", "smoothed-beran"):
-        raise ValueError(f"unknown estimator: {estimator!r}")
-    g = None if estimator == "beran" else float(g)
-    return _mise_function(model, grid, n_samples, n, seed)([(model.x0, (float(h), g))])[0]
-
-
 def _mise_function(model, grid, n_samples, n, seed, deadline=None):
     """MISE against the model truth at x0 of each query (model.x0, bandwidths) of a list, over samples (seed, j).
 
@@ -193,6 +170,7 @@ def _mise_function(model, grid, n_samples, n, seed, deadline=None):
 
 def _mise_optimal(mise, x0, boxes, n_candidates):
     """Grid search of a _mise_function at x0, over the same samples throughout; returns (bandwidths, rmise)."""
+    boxes = _validate_boxes(boxes, "grid", n_candidates)
     *bandwidths, value = _best_traced(_search(mise, [x0], boxes, "grid", n_candidates)[0])
     return tuple(bandwidths), float(np.sqrt(value))
 
@@ -210,23 +188,6 @@ def mise_optimal_1d(
     """Grid search for the MISE-optimal Beran bandwidth; returns (h, rmise)."""
     (h,), rmise = _mise_optimal(_mise_function(model, grid, n_samples, n, seed), model.x0, (box,), n_candidates)
     return h, rmise
-
-
-def mise_optimal_2d(
-    model: SimModel,
-    box_h: tuple[float, float],
-    box_g: tuple[float, float],
-    grid: TimeGrid,
-    *,
-    n_samples: int,
-    n: int,
-    n_candidates: int,
-    seed: int,
-) -> tuple[float, float, float]:
-    """Mesh search for the MISE-optimal smoothed pair; returns (h, g, rmise)."""
-    mise = _mise_function(model, grid, n_samples, n, seed)
-    (h, g), rmise = _mise_optimal(mise, model.x0, (box_h, box_g), n_candidates)
-    return h, g, rmise
 
 
 def relative_metrics(
@@ -332,7 +293,8 @@ def _map_with_budget(fn, n_tasks: int, workers: int, deadline: float | None):
         return results, incomplete
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    # a fork pool starts all its workers at the first submit, so start no more than there are tasks
+    with ProcessPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
         futures = [pool.submit(fn, j) for j in range(n_tasks)]
         for j, fut in enumerate(futures):
             if deadline is not None and time.perf_counter() > deadline:

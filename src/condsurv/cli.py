@@ -60,11 +60,12 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _float_list(text: str) -> list[float]:
+    # ArgumentTypeError, so the parser's message keeps the reason
     values = [float(part) for part in str(text).split(",") if part != ""]
     if not values:
-        raise ValueError(f"expected comma-separated numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid number list {text!r}: expected comma-separated numbers")
     if not np.all(np.isfinite(values)):
-        raise ValueError(f"expected finite numbers, got {text!r}")
+        raise argparse.ArgumentTypeError(f"invalid number list {text!r}: expected finite numbers")
     return values
 
 
@@ -175,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--workers", type=int, default=1)
         cmd.add_argument("--budget-minutes", type=float, default=None)
         if full:
-            cmd.add_argument("--sizes", default="400,800", help="sample sizes for scaling mode")
+            cmd.add_argument("--sizes", type=_float_list, default="400,800", help="sample sizes for scaling mode")
         cmd.add_argument("--out", required=True, help="output directory")
 
     for sub_parser in sub.choices.values():
@@ -192,7 +193,7 @@ def _config_scalar(action: argparse.Action, value):
         raise ValueError(f"config entry {action.dest!r} has an invalid value {value!r}")
     try:
         converted = action.type(str(value)) if action.type else str(value)
-    except ValueError as exc:
+    except (ValueError, argparse.ArgumentTypeError) as exc:
         raise ValueError(f"config entry {action.dest!r}: {exc}") from None
     if action.choices is not None and converted not in action.choices:
         raise ValueError(f"config entry {action.dest!r} must be one of {list(action.choices)}")
@@ -314,7 +315,7 @@ def _cmd_select_bandwidth(args) -> int:
     boxes = (args.box or default_covariate_box(sample),)
     if args.estimator == "smoothed-beran":
         boxes += (args.box_g or default_time_box(sample),)
-    boxes = _validate_boxes(boxes)
+    boxes = _validate_boxes(boxes, args.strategy, args.grid_size)
     resamples, diagnostics = resample(sample, plan, args.support)
     run_meta = {
         "command": "select-bandwidth",
@@ -357,10 +358,9 @@ def _cmd_region(args) -> int:
 def _cmd_simulate(args) -> int:
     if getattr(args, "mode", None) == "scaling":
         model = make_model(args.model, args.censoring)
-        sizes = _float_list(args.sizes)
-        if not all(v >= 1.0 and v.is_integer() for v in sizes):
+        if not all(v >= 1.0 and v.is_integer() for v in args.sizes):
             raise ValueError(f"--sizes expects whole numbers of at least 1, got {args.sizes!r}")
-        result = scaling_study(model, sizes, args.B, args.seed)
+        result = scaling_study(model, args.sizes, args.B, args.seed)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "timings.json", result)

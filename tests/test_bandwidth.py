@@ -7,8 +7,6 @@ from condsurv import (
     ResamplingPlan,
     SurvivalSample,
     TimeGrid,
-    bootstrap_mise_1d,
-    bootstrap_mise_2d,
     default_covariate_box,
     default_time_box,
     integrate_on_grid,
@@ -78,6 +76,20 @@ def hand_mise(resamples, pilot_steps, h_weights_uniform_n, grid, pilot_at):
     return total / len(resamples)
 
 
+def objective_at(sample, x0, bandwidths, plan, grid, resamples=None):
+    """The bootstrap MISE at (h,) or (h, g), read off a grid selection whose boxes start there.
+
+    Each box runs on to 1000, where the weights are near uniform and the value
+    is finite, so the search has a finite point even when the candidate has none.
+    """
+    select = select_bandwidth_1d if len(bandwidths) == 1 else select_bandwidth_2d
+    selection = select(sample, x0, *((b, 1e3) for b in bandwidths), plan, grid, strategy="grid", grid_size=2,
+                       resamples=resamples)
+    *point, value = selection.objective_trace[0]
+    assert tuple(point) == bandwidths
+    return value
+
+
 class TestObjectives:
     def setup_method(self):
         self.sample = SurvivalSample(x=[0.5, 0.5, 0.5], z=[1.0, 2.0, 3.0], delta=[1, 0, 1])
@@ -86,9 +98,7 @@ class TestObjectives:
 
     def test_zero_when_resample_is_sample_and_h_is_r(self):
         plan = ResamplingPlan(SCHEME_BERAN, 0.4, 0, 1)
-        value = bootstrap_mise_1d(
-            self.sample, 0.5, 0.4, plan, self.grid, resamples=[self.sample]
-        )
+        value = objective_at(self.sample, 0.5, (0.4,), plan, self.grid, resamples=[self.sample])
         assert value == 0.0
 
     def test_nonnegative(self):
@@ -97,7 +107,7 @@ class TestObjectives:
         plan = ResamplingPlan(SCHEME_BERAN, pilot_r(s, 1.5), 5, 8)
         grid = TimeGrid.uniform(float(np.quantile(s.z, 0.9)), 20)
         for h in (0.05, 0.2, 1.0):
-            assert bootstrap_mise_1d(s, 0.5, h, plan, grid) >= 0.0
+            assert objective_at(s, 0.5, (h,), plan, grid) >= 0.0
 
     def test_hand_riemann_sum(self):
         rs1 = SurvivalSample(x=[0.5, 0.5, 0.5], z=[1.0, 2.0, 3.0], delta=[1, 1, 1])
@@ -105,31 +115,27 @@ class TestObjectives:
         pilot_steps = pure_product_limit([1.0, 2.0, 3.0], [1, 0, 1], [1 / 3] * 3)
         pilot_at = np.array([eval_steps(pilot_steps, t) for t in self.grid.points])
         oracle = hand_mise([rs1, rs2], pilot_steps, None, self.grid, pilot_at)
-        value = bootstrap_mise_1d(
-            self.sample, 0.5, 2.0, self.plan, self.grid, resamples=[rs1, rs2]
-        )
+        value = objective_at(self.sample, 0.5, (2.0,), self.plan, self.grid, resamples=[rs1, rs2])
         assert value == pytest.approx(oracle, rel=1e-12)
 
     def test_degenerate_candidate_is_infinite(self):
         s = SurvivalSample(x=[0.0, 1.0], z=[1.0, 2.0], delta=[1, 1])
         plan = ResamplingPlan(SCHEME_BERAN, 0.5, 0, 3)
         grid = TimeGrid([0.5, 1.5, 2.5])
-        assert bootstrap_mise_1d(s, 0.5, 0.004, plan, grid) == np.inf
+        assert objective_at(s, 0.5, (0.004,), plan, grid) == np.inf
 
     def test_common_random_numbers(self):
         rng = np.random.default_rng(4)
         s = random_sample(rng, 25)
         plan = ResamplingPlan(SCHEME_BERAN, 0.3, 77, 10)
         grid = TimeGrid.uniform(2.0, 15)
-        a = bootstrap_mise_1d(s, 0.4, 0.22, plan, grid)
-        b = bootstrap_mise_1d(s, 0.4, 0.22, plan, grid)
+        a = objective_at(s, 0.4, (0.22,), plan, grid)
+        b = objective_at(s, 0.4, (0.22,), plan, grid)
         assert a == b
 
     def test_mise_2d_zero_and_hand_sum(self):
         plan = ResamplingPlan(SCHEME_SMOOTHED, 0.4, 0, 1, pilot_s=0.3)
-        value = bootstrap_mise_2d(
-            self.sample, 0.5, 0.4, 0.3, plan, self.grid, resamples=[self.sample]
-        )
+        value = objective_at(self.sample, 0.5, (0.4, 0.3), plan, self.grid, resamples=[self.sample])
         assert value == pytest.approx(0.0, abs=1e-28)
         from scipy.special import ndtr
 
@@ -152,17 +158,15 @@ class TestObjectives:
         vals = smooth_vals([1.0, 2.0, 3.0], [1, 1, 1])
         widths = np.diff(self.grid.points, prepend=0.0)
         oracle = float(((vals - pilot) ** 2) @ widths)
-        value = bootstrap_mise_2d(
-            self.sample, 0.5, 0.4, g, plan2, self.grid, resamples=[rs1]
-        )
+        value = objective_at(self.sample, 0.5, (0.4, g), plan2, self.grid, resamples=[rs1])
         assert value == pytest.approx(oracle, rel=1e-10)
 
     def test_scheme_mismatch_rejected(self):
         plan = ResamplingPlan(SCHEME_SMOOTHED, 0.4, 0, 2, pilot_s=0.3)
-        with pytest.raises(ValueError):
-            bootstrap_mise_1d(self.sample, 0.5, 0.3, plan, self.grid)
-        with pytest.raises(ValueError):
-            bootstrap_mise_2d(self.sample, 0.5, 0.3, 0.2, self.plan, self.grid)
+        with pytest.raises(ValueError, match="^select_bandwidth_1d requires a beran-scheme plan$"):
+            select_bandwidth_1d(self.sample, 0.5, (0.3, 1.0), plan, self.grid)
+        with pytest.raises(ValueError, match="^select_bandwidth_2d requires a smoothed-beran-scheme plan$"):
+            select_bandwidth_2d(self.sample, 0.5, (0.3, 1.0), (0.2, 1.0), self.plan, self.grid)
 
 
 class TestRiemannRule:

@@ -9,9 +9,7 @@ from condsurv import (
     TimeGrid,
     integrate_on_grid,
     make_model,
-    mc_mise,
     mise_optimal_1d,
-    mise_optimal_2d,
     region_metrics,
     relative_metrics,
     run_benchmark,
@@ -19,25 +17,30 @@ from condsurv import (
     winkler_scores,
     write_report,
 )
-from condsurv.benchmark import BenchReport, report_to_dict
+from condsurv.benchmark import BenchReport, _mise_function, _mise_optimal, report_to_dict
 from condsurv.errors import SelectionFailedError
 from condsurv.regions import ConfidenceRegion
+
+
+def mc_mise_at(model, h, g=None, *, n_samples, n, grid, seed):
+    """Monte Carlo MISE at (h, g) against the model truth at x0, on the path the benchmark runs."""
+    return _mise_function(model, grid, n_samples, n, seed)([(model.x0, (h, g))])[0]
 
 
 class TestMcMise:
     def test_nonnegative_and_finite(self):
         model = make_model("model1", 0.2)
         grid = TimeGrid.uniform(model.t_max, 40)
-        value = mc_mise(model, "beran", h=0.3, n_samples=10, n=50, grid=grid, seed=1)
+        value = mc_mise_at(model, 0.3, n_samples=10, n=50, grid=grid, seed=1)
         assert 0.0 <= value < np.inf
-        value2 = mc_mise(model, "smoothed-beran", h=0.3, g=0.08, n_samples=10, n=50, grid=grid, seed=1)
+        value2 = mc_mise_at(model, 0.3, 0.08, n_samples=10, n=50, grid=grid, seed=1)
         assert 0.0 <= value2 < np.inf
 
     def test_paper_scale_rmise_band(self):
         # reference study reports RMISE 0.02411 at the optimal bandwidth
         model = make_model("model1", 0.2)
         grid = TimeGrid.uniform(model.t_max, 100)
-        value = mc_mise(model, "beran", h=0.239, n_samples=100, n=400, grid=grid, seed=7)
+        value = mc_mise_at(model, 0.239, n_samples=100, n=400, grid=grid, seed=7)
         assert 0.015 <= np.sqrt(value) <= 0.04
 
 
@@ -59,7 +62,7 @@ class TestMiseOptimal:
         with pytest.raises(SelectionFailedError):
             mise_optimal_1d(model, (1e-7, 2e-7), grid, **kw)
         with pytest.raises(SelectionFailedError):
-            mise_optimal_2d(model, (1e-7, 2e-7), (0.05, 0.1), grid, **kw)
+            _mise_optimal(_mise_function(model, grid, 3, 20, 3), model.x0, ((1e-7, 2e-7), (0.05, 0.1)), 3)
 
 
 class FakeSelection:
@@ -359,3 +362,35 @@ def test_grid_size_is_unused_by_the_multistart_search():
 def test_config_rejects_fewer_than_one_worker(workers):
     with pytest.raises(ValueError, match=f"^workers must be at least 1, got {workers}$"):
         BenchConfig(workers=workers)
+
+
+@pytest.mark.parametrize("n_samples, workers, started", [(3, 16, 3), (6, 2, 2)])
+def test_pool_starts_no_more_workers_than_tasks(monkeypatch, n_samples, workers, started):
+    import concurrent.futures
+
+    sizes = []
+
+    class InProcessPool:
+        """Records its size and runs each task in this process when it is submitted."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            future = concurrent.futures.Future()
+            future.set_result(fn(*args))
+            return future
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    report = run_benchmark(BenchConfig(
+        model="model1", censoring=0.2, estimator="beran", mode="bandwidth", n=25, n_samples=n_samples, B=3,
+        n_grid=10, seed=11, strategy="grid", grid_size=5, mise_samples=3, mise_grid=4, workers=workers,
+    ))
+    assert sizes == [started]
+    assert report.samples_completed == n_samples

@@ -333,6 +333,17 @@ class TestFlagValidation:
         assert code == 2 and "grid_size" in record["message"]
         assert written == []
 
+    def test_empty_search_grid_exits_before_resampling(self, tmp_path, monkeypatch):
+        import condsurv.cli
+
+        monkeypatch.setattr(condsurv.cli, "resample", lambda *a, **k: pytest.fail("resamples were drawn"))
+        code, record, written = self.run(
+            tmp_path, "select-bandwidth", "--x0", "0.5", "--estimator", "smoothed-beran", "--strategy", "grid",
+            "--grid-size", "0"
+        )
+        assert code == 2 and record["exit_code"] == 2 and "grid_size=0" in record["message"]
+        assert written == []
+
     @pytest.mark.parametrize("flags", [
         ("region", "--x0", "0.5", "--h", "0.3"),
         ("select-bandwidth", "--x0", "0.5", "--estimator", "smoothed-beran"),
@@ -646,6 +657,15 @@ class TestBenchCommand:
         record = json.loads(err_path.read_text())
         assert code == 2 and record["error"] == "ValueError" and "whole numbers" in record["message"]
         assert not (tmp_path / "scale").exists()
+
+    def test_sizes_from_a_config_list(self, tmp_path):
+        config = tmp_path / "cfg.json"
+        config.write_text(json.dumps({"sizes": [30, 40]}))
+        out = tmp_path / "scale"
+        code = main(["bench", "--mode", "scaling", "--config", str(config), "--B", "2", "--seed", "3",
+                     "--out", str(out)])
+        assert code == 0
+        assert set(json.loads((out / "timings.json").read_text())["timings_seconds"]) == {"30", "40"}
 
     def test_scaling_mode(self, tmp_path):
         out = tmp_path / "scale"

@@ -10,8 +10,9 @@ MODULES = ["bandwidth", "benchmark", "dataio", "estimators", "kernels", "regions
 
 # a dotted name is a class attribute
 RETIRED = {
-    "bandwidth": ["PilotBandwidths", "bootstrap_mse_pointwise"],
-    "benchmark": ["time_bandwidth_selection"],
+    "bandwidth": ["PilotBandwidths", "bootstrap_mse_pointwise", "bootstrap_mise_1d", "bootstrap_mise_2d",
+                  "_bootstrap_mise", "_check_scheme"],
+    "benchmark": ["time_bandwidth_selection", "mc_mise", "mise_optimal_2d"],
     "dataio": ["LoadedDataset.factor_levels", "LoadedDataset.censoring_fraction"],
     "kernels": ["_is_effectively_untruncated", "kernel_fn", "integrated_kernel_fn", "reflect_covariates",
                 "_phi", "_density", "kernel_rvs"],
