@@ -42,8 +42,6 @@ from .simulation import SimModel, generate_sample, make_model
 __all__ = [
     "BenchConfig",
     "BenchReport",
-    "BandwidthMetrics",
-    "RegionMetrics",
     "mise_optimal_1d",
     "relative_metrics",
     "winkler_scores",
@@ -374,9 +372,10 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
                 report.g_stars = [s.g_star for s in selections]
         return report
 
-    # regions mode
-    if config.estimator == "smoothed-beran" and g is None:
+    # regions mode; a beran region never uses g, so the report records none
+    if smoothed and g is None:
         raise ValueError("regions with the smoothed estimator need bandwidth_g")
+    g = g if smoothed else None
     task = partial(_region_task, config, model, grid, h, g)
     per_sample, incomplete = _map_with_budget(task, config.n_samples, config.workers, deadline)
     report.incomplete = incomplete

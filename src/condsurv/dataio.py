@@ -64,10 +64,10 @@ def _parse_number(raw: str, column: str, line_number: int) -> float:
 def load_csv(path, schema: DatasetSchema = DatasetSchema()) -> LoadedDataset:
     """Parse a survival CSV file under the given schema.
 
-    Raises SchemaError when a declared column is missing, DataValidationError
-    (with the 1-based line number) on a malformed cell, a nonfinite covariate,
-    a nonfinite or negative time, or a status outside {0, 1}, and
-    EmptyDatasetError when no data rows remain.
+    Raises SchemaError when a declared column is missing or appears more than
+    once, DataValidationError (with the 1-based line number) on a malformed
+    cell, a nonfinite covariate, a nonfinite or negative time, or a status
+    outside {0, 1}, and EmptyDatasetError when no data rows remain.
     """
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as fh:
@@ -77,11 +77,14 @@ def load_csv(path, schema: DatasetSchema = DatasetSchema()) -> LoadedDataset:
         except StopIteration:
             raise EmptyDatasetError(f"{path}: file is empty") from None
         header = [name.strip() for name in header]
-        wanted = (schema.covariate_column, schema.time_column, schema.status_column)
-        missing = [name for name in (*wanted, *schema.filter_columns) if name not in header]
+        wanted = (schema.covariate_column, schema.time_column, schema.status_column, *schema.filter_columns)
+        missing = [name for name in wanted if name not in header]
         if missing:
             raise SchemaError(f"{path}: missing columns {missing}; header is {header}")
-        col = {name: header.index(name) for name in header}
+        repeated = [name for name in dict.fromkeys(wanted) if header.count(name) > 1]
+        if repeated:
+            raise SchemaError(f"{path}: columns {repeated} appear more than once; header is {header}")
+        col = {name: header.index(name) for name in wanted}
         xs, zs, ds = [], [], []
         factors = {name: [] for name in schema.filter_columns}
         for line_number, row in enumerate(reader, start=2):

@@ -59,7 +59,8 @@ def _query_weights(x_kern: np.ndarray, folded: bool, queries, h: float):
     positive kernel mass.
     """
     u = np.subtract(queries, x_kern)
-    u /= h
+    with np.errstate(over="ignore"):  # a huge |u| gives weight exp(-inf) = 0, exactly
+        u /= h
     k = kernels._gaussian_density(u, out=u)
     if folded:
         k = k.reshape(k.shape[0], 3, -1).sum(axis=1)
@@ -232,7 +233,8 @@ class _CurveBatch:
 
     def _ik_tensor(self, g: float) -> np.ndarray:
         tensor = self.points[None, :, None] - self._atoms[:, None, :]  # each tensor is IK(tensor / g)
-        tensor /= float(g)
+        with np.errstate(over="ignore"):  # ndtr(+-inf) is exactly 0 or 1
+            tensor /= float(g)
         return kernels._cdf()(tensor, out=tensor)
 
 

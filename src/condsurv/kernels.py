@@ -28,7 +28,6 @@ __all__ = [
     "DEFAULT_KERNEL",
     "eval_kernel",
     "eval_integrated_kernel",
-    "fold_into_support",
 ]
 
 _INV_SQRT_2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -79,7 +78,8 @@ def _gaussian_density(u, out=None):
     # exp(-u^2/2)/sqrt(2 pi) evaluated in one buffer; `out` may be u itself
     if out is None:
         out = np.empty(np.shape(u))
-    np.square(u, out=out)
+    with np.errstate(over="ignore"):  # exp(-inf) is exactly 0
+        np.square(u, out=out)
     out *= -0.5
     np.exp(out, out=out)
     out *= _INV_SQRT_2PI

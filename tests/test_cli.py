@@ -120,6 +120,19 @@ class TestErrors:
         assert record["error"] == "SchemaError"
         assert record["exit_code"] == 2
 
+    def test_repeated_column_exit_2_and_error_json(self, tmp_path):
+        bad = write_data(tmp_path, "x,z,delta,z\n0.5,1,1,9\n0.5,2,0,8\n", name="twice.csv")
+        err_path = tmp_path / "err.json"
+        code = main([
+            "fit", "--data", bad, "--estimator", "kaplan-meier",
+            "--out", str(tmp_path / "x"), "--error-json", str(err_path),
+        ])
+        assert code == 2
+        record = json.loads(err_path.read_text())
+        assert record["error"] == "SchemaError"
+        assert "['z'] appear more than once" in record["message"]
+        assert not (tmp_path / "x.csv").exists()
+
     def test_row_error_records_line_number(self, tmp_path):
         bad = write_data(tmp_path, "x,z,delta\n1,2,5\n", name="bad2.csv")
         err_path = tmp_path / "err2.json"
@@ -633,6 +646,36 @@ class TestSimulateCommand:
         assert code == 4
         report = json.loads((out / "report.json").read_text())
         assert report["incomplete"]
+
+
+    def test_beran_regions_report_records_no_time_bandwidth(self, tmp_path):
+        argv = ["simulate", "--mode", "regions", "--estimator", "beran", "--n", "30", "--n-samples", "1",
+                "--B", "4", "--n-grid", "8", "--seed", "2", "--h", "0.3"]
+        assert main([*argv, "--out", str(tmp_path / "plain")]) == 0
+        assert main([*argv, "--g", "0.1", "--out", str(tmp_path / "with_g")]) == 0
+        report = (tmp_path / "with_g" / "report.json").read_bytes()
+        assert report == (tmp_path / "plain" / "report.json").read_bytes()
+        assert json.loads(report)["bandwidth_g"] is None
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["fit", "--estimator", "beran", "--x0", "0.5", "--h", "1e-310"], 3),
+    (["fit", "--estimator", "smoothed-beran", "--x0", "0.5", "--h", "0.2", "--g", "1e-310"], 0),
+    (["select-bandwidth", "--estimator", "smoothed-beran", "--x0", "0.5", "--box-g", "1e-310,1e-309",
+      "--strategy", "grid", "--grid-size", "2", "--B", "3", "--seed", "1"], 0),
+])
+def test_tiny_bandwidths_raise_no_overflow_warning(tmp_path, argv, exit_code):
+    import warnings
+
+    err_path = tmp_path / "err.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main([*argv, "--data", _model_csv(tmp_path), "--out", str(tmp_path / "out"),
+                     "--error-json", str(err_path)])
+    assert code == exit_code
+    assert err_path.exists() == (exit_code != 0)
+    if exit_code:
+        assert json.loads(err_path.read_text())["error"] == "DegenerateWeightsError"
 
 
 class TestBenchCommand:

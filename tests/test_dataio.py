@@ -69,6 +69,22 @@ class TestLoad:
         ds = load_csv(write(tmp_path, "x,z,delta\n1,2,1\n\n3,4,0\n"))
         assert ds.n == 2
 
+    @pytest.mark.parametrize("header, schema, repeated", [
+        ("x,z,delta,z", DatasetSchema(), "['z']"),
+        ("x,z,x,delta,delta", DatasetSchema(), "['x', 'delta']"),
+        ("x,z,delta,site,site", DatasetSchema(filter_columns=("site",)), "['site']"),
+    ])
+    def test_a_read_column_given_twice_is_rejected(self, tmp_path, header, schema, repeated):
+        row = ",".join(["1"] * len(header.split(",")))
+        with pytest.raises(SchemaError) as err:
+            load_csv(write(tmp_path, f"{header}\n{row}\n"), schema)
+        assert f"columns {repeated} appear more than once" in str(err.value)
+
+    def test_a_repeated_column_the_schema_does_not_read_loads(self, tmp_path):
+        # the two blank headers a spreadsheet writes for empty trailing columns
+        ds = load_csv(write(tmp_path, "x,z,delta,,\n1,2,1,,\n3,4,0,,\n"))
+        assert_allclose(ds.sample.z, [2.0, 4.0])
+
     def test_schema_distinct_columns(self):
         with pytest.raises(SchemaError):
             DatasetSchema("x", "x", "delta")

@@ -39,6 +39,22 @@ def test_every_exported_name_resolves():
             assert hasattr(module, name), f"{module_name}.{name}"
 
 
+def test_the_package_exports_each_module_list_once():
+    declared = ["errors"]
+    for module_name in MODULES:
+        declared += importlib.import_module(f"condsurv.{module_name}").__all__
+    assert len(set(condsurv.__all__)) == len(condsurv.__all__)
+    assert sorted(condsurv.__all__) == sorted(declared)
+
+
+def test_each_public_name_has_one_home_module():
+    homes = {}
+    for module_name in MODULES:
+        for name in importlib.import_module(f"condsurv.{module_name}").__all__:
+            assert name not in homes, f"{name} is in both {homes[name]} and {module_name}"
+            homes[name] = module_name
+
+
 def _resolves(obj, dotted: str) -> bool:
     for part in dotted.split("."):
         if not hasattr(obj, part):
