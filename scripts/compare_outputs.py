@@ -18,11 +18,13 @@ to one decimal, whose runs of tied events (up to about 50 long) no other
 input has.  Every output file is then
 compared: the script prints whether its bytes are equal and, when they are
 not, the largest |difference| over its numbers (CSV cells and JSON numbers)
-with the place where it occurs, every place whose numbers moved (list
-indices and CSV row numbers collapsed to ``*``, so ``objective_trace[*][*]``)
-with how many moved there and their largest |difference|, and the places
-whose shape differs (for example objective traces of different
-length, which are not compared entry by entry).  For a ``select-bandwidth``
+with the place where it occurs (left out when no number moved), every place
+whose numbers moved (list indices and CSV row numbers collapsed to ``*``, so
+``objective_trace[*][*]``) with how many moved there and their largest
+|difference|, the JSON keys found on one side only (``added`` when only
+SRC_B has them, ``removed`` when only SRC_A has them), and the other places
+whose shape differs (for example objective traces of different length,
+which are not compared entry by entry).  For a ``select-bandwidth``
 file it also prints |dh*| and |dg*| in cells of its search box, a cell being
 (high - low)/31 (the default 32-point grid), and the smallest finite
 objective of each trace.  ``timings.json`` is skipped.  The last line counts
@@ -72,25 +74,27 @@ EXTRA = {
 }
 
 
-def _json_deltas(a, b, path: str, deltas: dict, mismatched: list) -> None:
+def _json_deltas(a, b, path: str, deltas: dict, mismatched: list, one_sided: dict) -> None:
     """|a - b| for every number at the same place of two JSON documents.
 
-    Places whose shape differs (a missing key, lists of different length, a
-    changed string) are listed in `mismatched` and not descended into.
+    A key present in one document only is listed in `one_sided["added"]` (in
+    `b` alone) or `one_sided["removed"]` (in `a` alone).  Other places whose
+    shape differs (lists of different length, a changed string) are listed in
+    `mismatched` and not descended into.
     """
     if isinstance(a, dict) and isinstance(b, dict):
         for key in sorted(a.keys() | b.keys()):
             sub = f"{path}.{key}" if path else key
             if key in a and key in b:
-                _json_deltas(a[key], b[key], sub, deltas, mismatched)
+                _json_deltas(a[key], b[key], sub, deltas, mismatched, one_sided)
             else:
-                mismatched.append(sub)
+                one_sided["added" if key in b else "removed"].append(sub)
     elif isinstance(a, list) and isinstance(b, list):
         if len(a) != len(b):
             mismatched.append(f"{path} ({len(a)} vs {len(b)} entries)")
             return
         for i, (x, y) in enumerate(zip(a, b)):
-            _json_deltas(x, y, f"{path}[{i}]", deltas, mismatched)
+            _json_deltas(x, y, f"{path}[{i}]", deltas, mismatched, one_sided)
     elif _is_number(a) and _is_number(b):
         deltas[path] = _delta(float(a), float(b))
     elif a != b:
@@ -149,29 +153,30 @@ def compare_file(a: Path, b: Path) -> tuple[bool, str]:
         return True, "equal"
     deltas: dict = {}
     mismatched: list = []
+    one_sided: dict = {"added": [], "removed": []}
     parts = []
     if a.suffix == ".json":
         docs = [json.loads(path.read_text()) for path in (a, b)]
-        _json_deltas(*docs, "", deltas, mismatched)
+        _json_deltas(*docs, "", deltas, mismatched, one_sided)
         if all(isinstance(doc, dict) and doc.get("command") == "select-bandwidth" for doc in docs):
             parts += _search_moves(*docs)
     else:
         _csv_deltas(a, b, deltas, mismatched)
-    if deltas:
-        worst = max(deltas, key=deltas.get)
-        parts.append(f"max|d|={deltas[worst]:.3g} at {worst}")
     moved: dict = {}
     for place, d in deltas.items():
         if d != 0.0:
             place = _collapsed(place)
             count, largest = moved.get(place, (0, 0.0))
             moved[place] = (count + 1, max(largest, d))
-    if not (moved or mismatched):  # the bytes differ, but no number or string does
+    if not (moved or mismatched or any(one_sided.values())):  # the bytes differ, but no number, string or key does
         same_lines = texts[0].replace(b"\r\n", b"\n") == texts[1].replace(b"\r\n", b"\n")
         return False, "same values; " + ("line endings differ" if same_lines else "text differs")
     if moved:
+        worst = max(deltas, key=deltas.get)
+        parts.append(f"max|d|={deltas[worst]:.3g} at {worst}")
         parts.append("moved: " + ", ".join(f"{place} ({count}, max|d|={d:.3g})"
                                            for place, (count, d) in moved.items()))
+    parts += [f"{kind} " + ", ".join(places) for kind, places in one_sided.items() if places]
     if mismatched:
         parts.append("shape differs at " + ", ".join(mismatched))
     return False, "; ".join(parts)

@@ -10,8 +10,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
@@ -240,16 +241,7 @@ def _load_dataset(args):
     dataset = load_csv(args.data, schema)
     if filters:
         dataset = filter_subpopulation(dataset, filters)
-    return dataset, sorted((k, sorted(v)) for k, v in filters.items())
-
-
-def _build_grid(args, sample) -> TimeGrid:
-    t_max = args.t_max
-    if t_max is None:
-        t_max = float(np.quantile(sample.z, 0.95))
-    if t_max <= 0.0:
-        raise ValueError("the time grid upper end must be positive")
-    return TimeGrid.uniform(t_max, args.n_grid)
+    return dataset.sample, sorted((k, sorted(v)) for k, v in filters.items())
 
 
 def _x0_tag(x0: float) -> str:
@@ -269,26 +261,33 @@ def _x0_stems(out: str, x0s) -> list[str]:
     return [f"{out}_x{tag}" for tag in first]
 
 
-def _cmd_fit(args) -> int:
+def _prepare(args):
+    """The output stems, sample, time grid and run record of fit, select-bandwidth and region.
+
+    The stems and the output directory are checked before the data are read.
+    """
     stems = [] if args.estimator == "kaplan-meier" else _x0_stems(args.out, args.x0)
-    dataset, filters = _load_dataset(args)
-    sample = dataset.sample
-    grid = _build_grid(args, sample)
-    meta_common = {
-        "command": "fit",
-        "estimator": args.estimator,
-        "n": sample.n,
-        "censoring_fraction": sample.censoring_fraction,
-        "n_grid": grid.n_points,
-        "t_max": grid.t_max,
-        "filters": filters,
-        "seed": None,
-        "version": __version__,
-    }
+    directory = os.path.dirname(args.out) or "."  # `--out dir/` writes dir/_x...
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(f"the output directory {directory!r} does not exist")
+    sample, filters = _load_dataset(args)
+    t_max = float(np.quantile(sample.z, 0.95)) if args.t_max is None else args.t_max
+    if t_max <= 0.0:
+        raise ValueError("the time grid upper end must be positive")
+    grid = TimeGrid.uniform(t_max, args.n_grid)
+    record = {"command": args.command, "estimator": args.estimator, "n": sample.n,
+              "censoring_fraction": sample.censoring_fraction, "n_grid": grid.n_points, "t_max": grid.t_max,
+              "filters": filters, "version": __version__}
+    return stems, sample, grid, record
+
+
+def _cmd_fit(args) -> int:
+    stems, sample, grid, record = _prepare(args)
+    record["seed"] = None
     if args.estimator == "kaplan-meier":
         curve = kaplan_meier(sample, grid)
         _write_csv(f"{args.out}_km.csv", ["t", "s_hat"], zip(grid.points, curve.values))
-        _write_json(f"{args.out}_km.json", meta_common | {"h": None, "g": None, "x0": None})
+        _write_json(f"{args.out}_km.json", record | {"h": None, "g": None, "x0": None})
         return EXIT_OK
     if args.h is None:
         raise ValueError("--h is required for covariate-smoothing estimators")
@@ -302,56 +301,38 @@ def _cmd_fit(args) -> int:
         else:
             curve = smoothed_beran_survival(sample, x0, args.h, args.g, grid, support=args.support)
         _write_csv(f"{stem}.csv", ["t", "s_hat"], zip(grid.points, curve.values))
-        _write_json(f"{stem}.json", meta_common | {"h": args.h, "g": curve.g, "x0": x0})
+        _write_json(f"{stem}.json", record | {"h": args.h, "g": curve.g, "x0": x0})
     return EXIT_OK
 
 
 def _cmd_select_bandwidth(args) -> int:
-    stems = _x0_stems(args.out, args.x0)
-    dataset, filters = _load_dataset(args)
-    sample = dataset.sample
-    grid = _build_grid(args, sample)
+    stems, sample, grid, record = _prepare(args)
     plan = _resampling_plan(args.estimator, sample, args.c, args.seed, args.B)
     boxes = (args.box or default_covariate_box(sample),)
     if args.estimator == "smoothed-beran":
         boxes += (args.box_g or default_time_box(sample),)
     boxes = _validate_boxes(boxes, args.strategy, args.grid_size)
     resamples, diagnostics = resample(sample, plan, args.support)
-    run_meta = {
-        "command": "select-bandwidth",
-        "estimator": args.estimator,
-        "n": sample.n,
-        "censoring_fraction": sample.censoring_fraction,
-        "n_grid": grid.n_points,
-        "t_max": grid.t_max,
-        "strategy": args.strategy,
-        "filters": filters,
-        "resampling": asdict(diagnostics),
-        "version": __version__,
-    }
+    record |= {"strategy": args.strategy, "resampling": asdict(diagnostics)}
     selections = _select(sample, args.x0, boxes, plan, grid, args.strategy, args.grid_size, args.support,
                          resamples)
     for x0, stem, selection in zip(args.x0, stems, selections):
         # a shallow copy: asdict would deep-copy every trace entry only to serialize it
-        _write_json(f"{stem}.json", vars(selection) | run_meta | {"x0": x0})
+        _write_json(f"{stem}.json", vars(selection) | record | {"x0": x0})
     return EXIT_OK
 
 
 def _cmd_region(args) -> int:
-    stems = _x0_stems(args.out, args.x0)
-    dataset, filters = _load_dataset(args)
-    sample = dataset.sample
-    grid = _build_grid(args, sample)
+    stems, sample, grid, record = _prepare(args)
     plan = _resampling_plan(args.estimator, sample, args.c, args.seed, args.B)
     _region_bandwidths(args.estimator, args.h, args.g)
     _check_alpha(args.alpha)
     resamples, diagnostics = resample(sample, plan, args.support)
-    run_meta = {"B": args.B, "n": sample.n, "filters": filters, "resampling": asdict(diagnostics),
-                "version": __version__}
+    record |= {"B": args.B, "resampling": asdict(diagnostics)}
     regions = _region((args.method,), sample, args.x0, args.h, plan, grid, alpha=args.alpha, g=args.g,
                       estimator=args.estimator, support=args.support, resamples=resamples)[args.method]
     for region, stem in zip(regions, stems):
-        write_region_csv(region, f"{stem}.csv", f"{stem}.json", extra=run_meta)
+        write_region_csv(region, f"{stem}.csv", f"{stem}.json", extra=record)
     return EXIT_OK
 
 
@@ -365,27 +346,11 @@ def _cmd_simulate(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "timings.json", result)
         return EXIT_OK
-    budget = None if args.budget_minutes is None else 60.0 * args.budget_minutes
-    config = BenchConfig(
-        model=args.model,
-        censoring=args.censoring,
-        estimator=args.estimator,
-        mode=args.mode,
-        n=args.n,
-        n_samples=args.n_samples,
-        B=args.B,
-        n_grid=args.n_grid,
-        seed=args.seed,
-        strategy=args.strategy,
-        grid_size=args.grid_size,
-        alpha=args.alpha,
-        bandwidth_h=args.h,
-        bandwidth_g=args.g,
-        mise_samples=args.mise_samples,
-        mise_grid=args.mise_grid,
-        workers=args.workers,
-        budget_seconds=budget,
-    )
+    # every field but methods and keep_regions has a flag; three of them under another name
+    renamed = {"bandwidth_h": args.h, "bandwidth_g": args.g,
+               "budget_seconds": None if args.budget_minutes is None else 60.0 * args.budget_minutes}
+    config = BenchConfig(**{f.name: getattr(args, f.name) for f in fields(BenchConfig) if hasattr(args, f.name)},
+                         **renamed)
     report = run_benchmark(config)
     write_report(report, args.out)
     return EXIT_BUDGET if report.incomplete else EXIT_OK
@@ -423,7 +388,10 @@ def _report_failure(args, argv, exc: Exception, code: int) -> int:
         record = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
         if isinstance(exc, DataValidationError) and exc.line_number is not None:
             record["line_number"] = exc.line_number
-        _write_json(args.error_json, record)
+        try:
+            _write_json(args.error_json, record)
+        except OSError as write_exc:
+            print(f"error: the error record {args.error_json!r} could not be written: {write_exc}", file=sys.stderr)
     return code
 
 

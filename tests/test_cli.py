@@ -1,4 +1,6 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -168,6 +170,20 @@ class TestErrors:
             "--B", "5", "--seed", "1", "--out", str(tmp_path / "r"),
         ])
         assert code == 3
+
+    @pytest.mark.parametrize("flags, exit_code", [
+        (["--data", "missing.csv", "--h", "0.3"], 2),
+        (["--h", "1e-310"], 3),
+    ])
+    def test_unwritable_error_record_keeps_the_exit_code(self, tmp_path, capsys, flags, exit_code):
+        if "missing.csv" not in flags:
+            flags = [*flags, "--data", _model_csv(tmp_path)]
+        # a directory cannot be opened as the record's file
+        code = main(["fit", *flags, "--x0", "0.5", "--out", str(tmp_path / "o"), "--error-json", str(tmp_path)])
+        assert code == exit_code
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 2 and all(line.startswith("error: ") for line in lines)
+        assert f"the error record {str(tmp_path)!r} could not be written" in lines[1]
 
 
     def test_no_finite_mise_exits_3(self, tmp_path, monkeypatch):
@@ -434,6 +450,24 @@ class TestFlagValidation:
         assert code == 2 and record["exit_code"] == 2
         assert record["message"] == "--x0 value 0.4 is given twice"
         assert list(tmp_path.glob("out*")) == []
+
+    @pytest.mark.parametrize("out", ["missing/x", "missing/"])
+    @pytest.mark.parametrize("flags", [
+        ("fit", "--h", "0.3"),
+        ("select-bandwidth", "--seed", "3", "--B", "4"),
+        ("region", "--h", "0.3", "--seed", "3", "--B", "4"),
+    ])
+    def test_missing_output_directory_exits_2_before_loading(self, tmp_path, monkeypatch, flags, out):
+        import condsurv.cli
+
+        monkeypatch.setattr(condsurv.cli, "load_csv", lambda *a, **k: pytest.fail("the data were loaded"))
+        err_path = tmp_path / "err.json"
+        code = main([*flags, "--data", "data.csv", "--x0", "0.5", "--out", f"{tmp_path}/{out}",
+                     "--error-json", str(err_path)])
+        record = json.loads(err_path.read_text())
+        assert code == 2 and record["error"] == "FileNotFoundError"
+        assert "missing" in record["message"]
+        assert [p.name for p in tmp_path.iterdir()] == ["err.json"]
 
 
 def _model_csv(tmp_path, n=60, seed=4):
@@ -865,3 +899,76 @@ def test_simulate_rejects_fewer_than_one_worker(tmp_path, monkeypatch, command, 
     assert code == 2 and record["exit_code"] == 2
     assert record["message"] == f"workers must be at least 1, got {int(workers)!r}"
     assert not (tmp_path / "s").exists()
+
+
+RUN_RECORD = {"command", "estimator", "n", "censoring_fraction", "n_grid", "t_max", "filters", "version"}
+
+
+def test_fit_selection_and_region_share_the_run_record(tmp_path):
+    header, *rows = Path(_model_csv(tmp_path)).read_text().splitlines()
+    data = tmp_path / "grouped.csv"
+    data.write_text("\n".join([f"{header},group", *(f"{row},a" for row in rows)]) + "\n")
+    common = ["--data", str(data), "--filter", "group=a", "--x0", "0.5", "--n-grid", "8", "--t-max", "1.5"]
+    assert main(["fit", *common, "--h", "0.3", "--out", str(tmp_path / "fit")]) == 0
+    assert main(["select-bandwidth", *common, "--strategy", "grid", "--grid-size", "3", "--B", "3",
+                 "--seed", "1", "--out", str(tmp_path / "sel")]) == 0
+    assert main(["region", *common, "--h", "0.3", "--B", "4", "--seed", "1", "--out", str(tmp_path / "reg")]) == 0
+    records = {name: json.loads((tmp_path / f"{name}_x0p5.json").read_text()) for name in ("fit", "sel", "reg")}
+    assert [records[name]["command"] for name in records] == ["fit", "select-bandwidth", "region"]
+    for doc in records.values():
+        assert RUN_RECORD <= doc.keys()
+        assert {key: doc[key] for key in RUN_RECORD - {"command"}} == {
+            key: records["fit"][key] for key in RUN_RECORD - {"command"}}
+    assert records["fit"]["n"] == 60 and records["fit"]["n_grid"] == 8 and records["fit"]["t_max"] == 1.5
+    assert records["fit"]["filters"] == [["group", ["a"]]]
+    assert records["fit"]["seed"] is None
+    assert {"strategy", "resampling"} <= records["sel"].keys()
+    assert records["reg"]["B"] == 4 and "resampling" in records["reg"]
+
+
+def test_readme_cli_lines_parse():
+    from condsurv.cli import build_parser
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines() if line.startswith("condsurv ")]
+    assert len(lines) == 7
+    for line in lines:
+        build_parser().parse_args(shlex.split(line)[1:])
+
+
+class TestBenchConfigFromFlags:
+    RENAMED = {"bandwidth_h", "bandwidth_g", "budget_seconds"}
+    FLAGS = ["--model", "model2", "--censoring", "0.5", "--mode", "regions", "--estimator", "smoothed-beran",
+             "--n", "30", "--n-samples", "2", "--B", "7", "--n-grid", "9", "--seed", "5", "--strategy", "grid",
+             "--grid-size", "4", "--alpha", "0.1", "--h", "0.2", "--g", "0.1", "--mise-samples", "3",
+             "--mise-grid", "5", "--workers", "2", "--budget-minutes", "1.5"]
+
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    def test_each_field_has_a_same_named_flag(self, command):
+        from dataclasses import fields
+
+        from condsurv.benchmark import BenchConfig
+        from condsurv.cli import build_parser
+
+        commands = next(a for a in build_parser()._actions if a.dest == "command")
+        dests = {a.dest for a in commands.choices[command]._actions}
+        names = {f.name for f in fields(BenchConfig)} - self.RENAMED - {"methods", "keep_regions"}
+        assert names <= dests
+
+    @pytest.mark.parametrize("command", ["simulate", "bench"])
+    def test_flags_build_the_config(self, tmp_path, monkeypatch, command):
+        from types import SimpleNamespace
+
+        import condsurv.cli
+        from condsurv.benchmark import BenchConfig
+
+        captured = []
+        monkeypatch.setattr(condsurv.cli, "run_benchmark",
+                            lambda config: captured.append(config) or SimpleNamespace(incomplete=False))
+        monkeypatch.setattr(condsurv.cli, "write_report", lambda report, out: None)
+        assert main([command, *self.FLAGS, "--out", str(tmp_path / "s")]) == 0
+        assert captured == [BenchConfig(
+            model="model2", censoring=0.5, estimator="smoothed-beran", mode="regions", n=30, n_samples=2, B=7,
+            n_grid=9, seed=5, strategy="grid", grid_size=4, alpha=0.1, bandwidth_h=0.2, bandwidth_g=0.1,
+            mise_samples=3, mise_grid=5, workers=2, budget_seconds=90.0)]
