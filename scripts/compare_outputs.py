@@ -13,9 +13,12 @@ both schemes (the benchmark's smoothed inputs fit in one); a smoothed
 workload searches; and two small smoothed studies that read no data file,
 ``simulate --mode regions`` and ``simulate --mode bandwidth``, which cover the
 benchmark module's region path and its ground-truth and selection searches
-of (h, g); and a smoothed ``region`` and ``select-bandwidth`` on times rounded
+of (h, g); a smoothed ``region`` and ``select-bandwidth`` on times rounded
 to one decimal, whose runs of tied events (up to about 50 long) no other
-input has.  Every output file is then
+input has; a Kaplan-Meier ``fit``; and a beran ``simulate --mode regions``
+given both ``--h`` and ``--g``, whose report records ``bandwidth_g`` as
+null.  No workload runs these last two.  ``--seed`` is passed to every
+command but ``fit``, which takes none.  Every output file is then
 compared: the script prints whether its bytes are equal and, when they are
 not, the largest |difference| over its numbers (CSV cells and JSON numbers)
 with the place where it occurs (left out when no number moved), every place
@@ -53,7 +56,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 SKIPPED = {"timings.json"}
-# name: (subcommand, flags besides --seed and --out,
+# name: (subcommand, flags besides --seed (for subcommands that take it) and --out,
 #        (sample size, censoring[, decimals the times are rounded to]) of its --data CSV or None)
 EXTRA = {
     "smoothed-region-1600": ("region", ("--method", "1", "--estimator", "smoothed-beran", "--x0", "0.5",
@@ -71,6 +74,9 @@ EXTRA = {
     "smoothed-select-study": ("simulate", ("--mode", "bandwidth", "--estimator", "smoothed-beran", "--n", "80",
                                            "--n-samples", "2", "--B", "10", "--n-grid", "30",
                                            "--mise-samples", "20", "--mise-grid", "8"), None),
+    "kaplan-meier-fit": ("fit", ("--estimator", "kaplan-meier"), (400, 0.2)),
+    "beran-region-study": ("simulate", ("--mode", "regions", "--estimator", "beran", "--n", "80", "--n-samples", "2",
+                                        "--B", "10", "--h", "0.2", "--g", "0.1"), None),
 }
 
 
@@ -202,7 +208,7 @@ def extra_job(name: str, seed: int, directory: Path):
     from condsurv.simulation import generate_sample, make_model
 
     sub, flags, data = EXTRA[name]
-    args = (*flags, "--seed", str(workloads.program_seed(seed, data[0] if data else 0)))
+    args = flags if sub == "fit" else (*flags, "--seed", str(workloads.program_seed(seed, data[0] if data else 0)))
     if data is not None:
         n, censoring, *decimals = data
         csv_path = str(directory / f"{name}.csv")

@@ -13,7 +13,7 @@ reports do not depend on the worker count.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
 
@@ -29,13 +29,12 @@ from .bandwidth import (
     _validate_boxes,
     default_covariate_box,
     default_time_box,
-    pilot_r,
     select_bandwidth_1d,
 )
 from .dataio import _write_csv, _write_json
-from .estimators import _CurveBatch
+from .estimators import _CurveBatch, _estimator_bandwidths
 from .regions import _check_alpha, _region
-from .resampling import SCHEME_BERAN, ResamplingPlan, child_seed, substream
+from .resampling import child_seed, substream
 from .samples import TimeGrid, integrate_on_grid
 from .simulation import SimModel, generate_sample, make_model
 
@@ -94,6 +93,12 @@ class BenchConfig:
         # inf sets no limit; nan fails the comparison, so it is rejected too
         if self.budget_seconds is not None and not self.budget_seconds > 0.0:
             raise ValueError(f"budget_seconds must be positive, got {self.budget_seconds!r}")
+        if self.mode == "regions" and self.bandwidth_h is not None:
+            # a beran study never uses g, so it records none
+            object.__setattr__(self, "bandwidth_g",
+                               _estimator_bandwidths(self.estimator, self.bandwidth_h, self.bandwidth_g)[1])
+        elif self.mode == "regions" and self.estimator == "smoothed-beran" and self.bandwidth_g is not None:
+            raise ValueError("bandwidth_g must come with bandwidth_h; with neither, the ground-truth search sets both")
 
 
 @dataclass
@@ -323,20 +328,10 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
     if config.budget_seconds is not None:
         deadline = time.perf_counter() + config.budget_seconds
 
-    report = BenchReport(
-        model=config.model,
-        censoring=config.censoring,
-        estimator=config.estimator,
-        mode=config.mode,
-        n=config.n,
-        n_samples=config.n_samples,
-        B=config.B,
-        n_grid=config.n_grid,
-        seed=config.seed,
-        samples_completed=0,
-        incomplete=False,
-        alpha=config.alpha,
-    )
+    # the report repeats the study settings; its bandwidths record what a region study used
+    settings = {f.name for f in fields(BenchConfig)} - {"bandwidth_h", "bandwidth_g"}
+    report = BenchReport(samples_completed=0, incomplete=False,
+                         **{f.name: getattr(config, f.name) for f in fields(BenchReport) if f.name in settings})
 
     smoothed = config.estimator == "smoothed-beran"
     boxes = (box_h, box_g) if smoothed else (box_h,)
@@ -349,36 +344,29 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
             report.incomplete = True
             return report
         del mise  # frees the ground-truth samples before the sample tasks run
-        h, g = bandwidths if smoothed else (bandwidths[0], g)
+        h, g = bandwidths if smoothed else (*bandwidths, None)
 
     if config.mode == "bandwidth":
-        h_mise, g_mise = h, g if smoothed else None
         task = partial(_select_task, config, model, grid, boxes)
-        selections, incomplete = _map_with_budget(task, config.n_samples, config.workers, deadline)
-        report.incomplete = incomplete
+        selections, report.incomplete = _map_with_budget(task, config.n_samples, config.workers, deadline)
         report.samples_completed = len(selections)
-        report.h_mise, report.g_mise, report.rmise_at_optimal = h_mise, g_mise, rmise_opt
+        report.h_mise, report.g_mise, report.rmise_at_optimal = h, g, rmise_opt
         report.search = {key: sum(s.search[key] for s in selections)
                          for key in ("objective_evals", "nonfinite_evals", "tensor_builds")}
         if selections:
             mise_at = _mise_function(model, grid, config.mise_samples, config.n, child_seed(config.seed, 5))
-            queries = [(model.x0, (s.h_star, s.g_star)) for s in selections] + [(model.x0, (h_mise, g_mise))]
+            queries = [(model.x0, (s.h_star, s.g_star)) for s in selections] + [(model.x0, (h, g))]
             *rmise_selected, rmise_ref = (float(np.sqrt(value)) for value in mise_at(queries))
             report.bandwidth_metrics = relative_metrics(
-                selections, h_mise, rmise_selected, rmise_ref, g_mise=g_mise
+                selections, h, rmise_selected, rmise_ref, g_mise=g
             )
             report.h_stars = [s.h_star for s in selections]
-            if g_mise is not None:
+            if g is not None:
                 report.g_stars = [s.g_star for s in selections]
         return report
 
-    # regions mode; a beran region never uses g, so the report records none
-    if smoothed and g is None:
-        raise ValueError("regions with the smoothed estimator need bandwidth_g")
-    g = g if smoothed else None
     task = partial(_region_task, config, model, grid, h, g)
-    per_sample, incomplete = _map_with_budget(task, config.n_samples, config.workers, deadline)
-    report.incomplete = incomplete
+    per_sample, report.incomplete = _map_with_budget(task, config.n_samples, config.workers, deadline)
     report.samples_completed = len(per_sample)
     report.bandwidth_h, report.bandwidth_g = h, g
     if per_sample:
@@ -446,7 +434,7 @@ def scaling_study(
     timings = {}
     for n in sizes:
         sample = generate_sample(model, int(n), substream(seed, 0, 0))
-        plan = ResamplingPlan(SCHEME_BERAN, pilot_r(sample, model.pilot_c), child_seed(seed, 1, 0), B)
+        plan = _resampling_plan("beran", sample, model.pilot_c, child_seed(seed, 1, 0), B)
         box = default_covariate_box(sample)
         start = time.perf_counter()
         select_bandwidth_1d(sample, model.x0, box, plan, grid, strategy=strategy, grid_size=grid_size,

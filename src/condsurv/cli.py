@@ -31,8 +31,8 @@ from .errors import (
     SchemaError,
     SelectionFailedError,
 )
-from .estimators import beran_survival, kaplan_meier, smoothed_beran_survival
-from .regions import _check_alpha, _region, _region_bandwidths, write_region_csv
+from .estimators import _estimator_bandwidths, beran_survival, kaplan_meier, smoothed_beran_survival
+from .regions import _check_alpha, _region, write_region_csv
 from .resampling import resample
 from .samples import TimeGrid
 
@@ -282,6 +282,10 @@ def _prepare(args):
 
 
 def _cmd_fit(args) -> int:
+    if args.estimator != "kaplan-meier":
+        h, g = _estimator_bandwidths(args.estimator, args.h, args.g)
+        if not args.x0:
+            raise ValueError("--x0 is required for covariate-smoothing estimators")
     stems, sample, grid, record = _prepare(args)
     record["seed"] = None
     if args.estimator == "kaplan-meier":
@@ -289,19 +293,13 @@ def _cmd_fit(args) -> int:
         _write_csv(f"{args.out}_km.csv", ["t", "s_hat"], zip(grid.points, curve.values))
         _write_json(f"{args.out}_km.json", record | {"h": None, "g": None, "x0": None})
         return EXIT_OK
-    if args.h is None:
-        raise ValueError("--h is required for covariate-smoothing estimators")
-    if not args.x0:
-        raise ValueError("--x0 is required for covariate-smoothing estimators")
-    if args.estimator == "smoothed-beran" and args.g is None:
-        raise ValueError("--g is required for the smoothed estimator")
     for x0, stem in zip(args.x0, stems):
-        if args.estimator == "beran":
-            curve = beran_survival(sample, x0, args.h, grid, support=args.support)
+        if g is None:
+            curve = beran_survival(sample, x0, h, grid, support=args.support)
         else:
-            curve = smoothed_beran_survival(sample, x0, args.h, args.g, grid, support=args.support)
+            curve = smoothed_beran_survival(sample, x0, h, g, grid, support=args.support)
         _write_csv(f"{stem}.csv", ["t", "s_hat"], zip(grid.points, curve.values))
-        _write_json(f"{stem}.json", record | {"h": args.h, "g": curve.g, "x0": x0})
+        _write_json(f"{stem}.json", record | {"h": h, "g": g, "x0": x0})
     return EXIT_OK
 
 
@@ -323,10 +321,10 @@ def _cmd_select_bandwidth(args) -> int:
 
 
 def _cmd_region(args) -> int:
+    _estimator_bandwidths(args.estimator, args.h, args.g)
+    _check_alpha(args.alpha)
     stems, sample, grid, record = _prepare(args)
     plan = _resampling_plan(args.estimator, sample, args.c, args.seed, args.B)
-    _region_bandwidths(args.estimator, args.h, args.g)
-    _check_alpha(args.alpha)
     resamples, diagnostics = resample(sample, plan, args.support)
     record |= {"B": args.B, "resampling": asdict(diagnostics)}
     regions = _region((args.method,), sample, args.x0, args.h, plan, grid, alpha=args.alpha, g=args.g,

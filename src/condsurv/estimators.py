@@ -255,6 +255,18 @@ def _validate_bandwidth(value: float, name: str) -> float:
     return value
 
 
+def _estimator_bandwidths(estimator: str, h: float | None, g: float | None) -> tuple:
+    """The bandwidths (h, g) an estimator takes, checked: beran takes h alone and gets g None."""
+    if h is None:
+        raise ValueError(f"h must be given for the {estimator} estimator")
+    h = _validate_bandwidth(h, "h")
+    if estimator == "beran":
+        return h, None
+    if g is None:
+        raise ValueError(f"g must be given for the {estimator} estimator")
+    return h, _validate_bandwidth(g, "g")
+
+
 def beran_weights(
     sample: SurvivalSample,
     x0: float,

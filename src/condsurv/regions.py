@@ -19,7 +19,7 @@ import numpy as np
 from .bandwidth import _pilot_values, _resamples_or_generate
 from .dataio import _write_csv, _write_json
 from .errors import DegenerateVarianceError, DegenerateWeightsError, InsufficientReplicatesError
-from .estimators import _CurveBatch, _single_curve, _validate_bandwidth
+from .estimators import _CurveBatch, _estimator_bandwidths, _single_curve
 from .resampling import ResamplingPlan
 from .samples import SurvivalSample, TimeGrid
 
@@ -146,16 +146,6 @@ def clamp_and_plateau_fix(region: ConfidenceRegion) -> ConfidenceRegion:
     return replace(region, lower=lower, upper=upper, degenerate=degenerate)
 
 
-def _region_bandwidths(estimator: str, h: float, g: float | None) -> tuple:
-    """(h, g) checked to be positive and finite; a beran region ignores g and gets None."""
-    h = _validate_bandwidth(h, "h")
-    if estimator == "beran":
-        return h, None
-    if g is None:
-        raise ValueError("smoothed-beran regions require a time bandwidth g")
-    return h, _validate_bandwidth(g, "g")
-
-
 def _region(methods, sample, x0s, h, plan, grid, alpha=0.05, g=None, estimator="beran", support=None,
             resamples=None) -> dict:
     """Regions of each method at each x0, {method: [region per x0]}, from one batch of resamples.
@@ -167,10 +157,11 @@ def _region(methods, sample, x0s, h, plan, grid, alpha=0.05, g=None, estimator="
     engine call gives the bootstrap curves of every x0, and at each x0 the
     curves, pilot and centre serve every method.
     """
+    _check_alpha(alpha)
     # estimator tags and resampling scheme names are the same strings
     if plan.scheme != estimator:
         raise ValueError(f"{estimator!r} regions require a {estimator!r}-scheme plan, got {plan.scheme!r}")
-    h, g = _region_bandwidths(estimator, h, g)
+    h, g = _estimator_bandwidths(estimator, h, g)
     batch = _CurveBatch(_resamples_or_generate(sample, plan, support, resamples), grid.points, support)
     regions: dict = {method: [] for method in methods}
     for x0, (curves, ok) in zip(x0s, batch.values([(x0, (h, g)) for x0 in x0s])):

@@ -301,6 +301,18 @@ class TestRunBenchmark:
         parallel = run_benchmark(BenchConfig(**base, workers=2))
         assert report_to_dict(serial) == report_to_dict(parallel)
 
+    @pytest.mark.parametrize("estimator, h, g", [("beran", None, None), ("smoothed-beran", 0.3, 0.1)])
+    def test_regions_worker_count_invariance(self, estimator, h, g):
+        base = dict(
+            model="model1", censoring=0.2, estimator=estimator, mode="regions",
+            n=25, n_samples=3, B=5, n_grid=10, seed=11, bandwidth_h=h, bandwidth_g=g,
+            mise_samples=3, mise_grid=4,
+        )
+        serial = run_benchmark(BenchConfig(**base, workers=1))
+        parallel = run_benchmark(BenchConfig(**base, workers=2))
+        assert serial.samples_completed == 3
+        assert report_to_dict(serial) == report_to_dict(parallel)
+
     def test_smoothed_bandwidth_mode_smoke(self):
         config = BenchConfig(
             model="model1", censoring=0.5, estimator="smoothed-beran", mode="bandwidth",
@@ -317,6 +329,25 @@ class TestRunBenchmark:
             BenchConfig(mode="nope")
         with pytest.raises(ValueError):
             BenchConfig(estimator="kaplan-meier")
+
+
+@pytest.mark.parametrize("mode", ["bandwidth", "regions"])
+def test_report_repeats_the_study_settings(mode):
+    from dataclasses import fields
+
+    config = BenchConfig(
+        model="model2", censoring=0.5, estimator="smoothed-beran", mode=mode, n=23, n_samples=1, B=4,
+        n_grid=9, seed=13, strategy="grid", grid_size=3, alpha=0.2, bandwidth_h=0.3, bandwidth_g=0.1,
+        mise_samples=2, mise_grid=3,
+    )
+    report = run_benchmark(config)
+    shared = {f.name for f in fields(BenchReport)} & {f.name for f in fields(BenchConfig)}
+    settings = shared - {"bandwidth_h", "bandwidth_g"}
+    assert settings == {"model", "censoring", "estimator", "mode", "n", "n_samples", "B", "n_grid", "seed", "alpha"}
+    for name in settings - {"mode"}:
+        assert getattr(config, name) != getattr(BenchConfig(), name)
+    for name in settings:
+        assert getattr(report, name) == getattr(config, name)
 
 
 class TestScaling:

@@ -346,6 +346,29 @@ class TestFlagValidation:
         assert "must be a positive finite number" in record["message"]
         assert written == []
 
+    @pytest.mark.parametrize("flags, message", [
+        (("fit", "--estimator", "beran", "--x0", "0.5"), "h must be given"),
+        (("fit", "--estimator", "smoothed-beran", "--x0", "0.5", "--h", "0.2"), "g must be given"),
+        (("fit", "--x0", "0.5", "--h", "0"), "h must be a positive finite number"),
+        (("region", "--x0", "0.5", "--h", "-0.2", "--seed", "3"), "h must be a positive finite number"),
+        (("region", "--estimator", "smoothed-beran", "--x0", "0.5", "--h", "0.2", "--seed", "3"), "g must be given"),
+        (("region", "--x0", "0.5", "--h", "0.2", "--alpha", "1.5", "--seed", "3"), "alpha must lie in (0, 1)"),
+    ])
+    def test_bandwidths_and_alpha_are_checked_before_the_data_are_read(self, tmp_path, monkeypatch, flags,
+                                                                       message):
+        import condsurv.cli
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("the data file was read before the flags were checked")
+
+        monkeypatch.setattr(condsurv.cli, "load_csv", no_read)
+        err_path = tmp_path / "err.json"
+        code = main([*flags, "--data", str(tmp_path / "missing.csv"), "--out", str(tmp_path / "out"),
+                     "--error-json", str(err_path)])
+        record = json.loads(err_path.read_text())
+        assert code == 2 and record["exit_code"] == 2
+        assert record["message"].startswith(message)
+
     @pytest.mark.parametrize("flags", [
         ("region", "--h", "0.3"),
         ("select-bandwidth", "--strategy", "grid", "--grid-size", "3"),
@@ -770,6 +793,8 @@ class TestSimulateCountsCheckedFirst:
         (["--mode", "regions", "--alpha", "1.5"], "alpha"),
         (["--budget-minutes", "nan"], "budget_seconds"),
         (["--budget-minutes", "-1"], "budget_seconds"),
+        (["--mode", "regions", "--h", "-1"], "h"),
+        (["--mode", "regions", "--estimator", "smoothed-beran", "--g", "0.05"], "bandwidth_g"),
     ])
     def test_exit_2_before_any_draw(self, tmp_path, monkeypatch, command, flags, field):
         import condsurv.benchmark

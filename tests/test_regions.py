@@ -327,6 +327,17 @@ class TestRegionBuilders:
             builder(self.sample, 0.6, 0.3, plan, self.grid, g=g,
                     estimator="smoothed-beran", support=self.model.support)
 
+    @pytest.mark.parametrize("builder", [region_method1, region_method2])
+    def test_alpha_is_checked_before_any_resample_is_drawn(self, builder, monkeypatch):
+        import condsurv.bandwidth
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("resamples were drawn before alpha was checked")
+
+        monkeypatch.setattr(condsurv.bandwidth, "resample", no_draw)
+        with pytest.raises(ValueError, match="alpha must"):
+            builder(self.sample, 0.6, 0.3, self.plan, self.grid, alpha=1.5, support=self.model.support)
+
     def test_scheme_estimator_mismatch(self):
         with pytest.raises(ValueError):
             region_method1(
