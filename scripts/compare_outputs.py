@@ -15,9 +15,12 @@ workload searches; and two small smoothed studies that read no data file,
 benchmark module's region path and its ground-truth and selection searches
 of (h, g); a smoothed ``region`` and ``select-bandwidth`` on times rounded
 to one decimal, whose runs of tied events (up to about 50 long) no other
-input has; a Kaplan-Meier ``fit``; and a beran ``simulate --mode regions``
+input has; a Kaplan-Meier ``fit``; a beran ``simulate --mode regions``
 given both ``--h`` and ``--g``, whose report records ``bandwidth_g`` as
-null.  No workload runs these last two.  ``--seed`` is passed to every
+null; a smoothed ``region`` on an input whose statuses are all 1, so the
+censoring law has no event column and every censoring draw saturates; and a
+beran ``region`` on times rounded to one decimal, whose beran-scheme laws
+have tied times.  No workload runs these last four.  ``--seed`` is passed to every
 command but ``fit``, which takes none.  Every output file is then
 compared: the script prints whether its bytes are equal and, when they are
 not, the largest |difference| over its numbers (CSV cells and JSON numbers)
@@ -57,7 +60,8 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 SKIPPED = {"timings.json"}
 # name: (subcommand, flags besides --seed (for subcommands that take it) and --out,
-#        (sample size, censoring[, decimals the times are rounded to]) of its --data CSV or None)
+#        (sample size, censoring[, "tied" for times rounded to one decimal or "all-events" for every
+#        status 1]) of its --data CSV or None)
 EXTRA = {
     "smoothed-region-1600": ("region", ("--method", "1", "--estimator", "smoothed-beran", "--x0", "0.5",
                                         "--h", "0.15", "--g", "0.08", "--B", "10"), (1600, 0.2)),
@@ -68,15 +72,19 @@ EXTRA = {
                                                   "--strategy", "grid", "--grid-size", "12", "--B", "10"),
                              (200, 0.2)),
     "tied-region": ("region", ("--method", "1", "--estimator", "smoothed-beran", "--x0", "0.3,0.6",
-                               "--h", "0.15", "--g", "0.08", "--B", "10"), (400, 0.2, 1)),
+                               "--h", "0.15", "--g", "0.08", "--B", "10"), (400, 0.2, "tied")),
     "tied-select-grid": ("select-bandwidth", ("--estimator", "smoothed-beran", "--x0", "0.5", "--strategy", "grid",
-                                              "--grid-size", "8", "--B", "10"), (400, 0.2, 1)),
+                                              "--grid-size", "8", "--B", "10"), (400, 0.2, "tied")),
     "smoothed-select-study": ("simulate", ("--mode", "bandwidth", "--estimator", "smoothed-beran", "--n", "80",
                                            "--n-samples", "2", "--B", "10", "--n-grid", "30",
                                            "--mise-samples", "20", "--mise-grid", "8"), None),
     "kaplan-meier-fit": ("fit", ("--estimator", "kaplan-meier"), (400, 0.2)),
     "beran-region-study": ("simulate", ("--mode", "regions", "--estimator", "beran", "--n", "80", "--n-samples", "2",
                                         "--B", "10", "--h", "0.2", "--g", "0.1"), None),
+    "all-events-region": ("region", ("--method", "1", "--estimator", "smoothed-beran", "--x0", "0.3,0.6",
+                                     "--h", "0.15", "--g", "0.08", "--B", "10"), (400, 0.2, "all-events")),
+    "tied-beran-region": ("region", ("--method", "1", "--estimator", "beran", "--x0", "0.3,0.6", "--h", "0.15",
+                                     "--B", "10"), (400, 0.2, "tied")),
 }
 
 
@@ -210,11 +218,11 @@ def extra_job(name: str, seed: int, directory: Path):
     sub, flags, data = EXTRA[name]
     args = flags if sub == "fit" else (*flags, "--seed", str(workloads.program_seed(seed, data[0] if data else 0)))
     if data is not None:
-        n, censoring, *decimals = data
+        n, censoring, *variant = data
         csv_path = str(directory / f"{name}.csv")
         sample = generate_sample(make_model("model1", censoring), n, np.random.default_rng([seed, n]))
-        if decimals:
-            sample = SurvivalSample(x=sample.x, z=np.round(sample.z, *decimals), delta=sample.delta)
+        sample = SurvivalSample(x=sample.x, z=np.round(sample.z, 1) if "tied" in variant else sample.z,
+                                delta=np.ones(n) if "all-events" in variant else sample.delta)
         save_csv(sample, csv_path)
         args += ("--data", csv_path, "--support", workloads.SUPPORT_FLAG, "--n-grid", str(workloads.N_GRID))
     return [workloads.Command(sub, args, name)]

@@ -33,7 +33,7 @@ from .bandwidth import (
 )
 from .dataio import _write_csv, _write_json
 from .estimators import _CurveBatch, _estimator_bandwidths
-from .regions import _check_alpha, _region
+from .regions import _check_alpha, _check_replicates, _region
 from .resampling import child_seed, substream
 from .samples import TimeGrid, integrate_on_grid
 from .simulation import SimModel, generate_sample, make_model
@@ -93,10 +93,12 @@ class BenchConfig:
         # inf sets no limit; nan fails the comparison, so it is rejected too
         if self.budget_seconds is not None and not self.budget_seconds > 0.0:
             raise ValueError(f"budget_seconds must be positive, got {self.budget_seconds!r}")
+        if self.mode == "regions":
+            _check_replicates(self.methods, self.B)
         if self.mode == "regions" and self.bandwidth_h is not None:
             # a beran study never uses g, so it records none
-            object.__setattr__(self, "bandwidth_g",
-                               _estimator_bandwidths(self.estimator, self.bandwidth_h, self.bandwidth_g)[1])
+            object.__setattr__(self, "bandwidth_g", _estimator_bandwidths(
+                self.estimator, self.bandwidth_h, self.bandwidth_g, names=("bandwidth_h", "bandwidth_g"))[1])
         elif self.mode == "regions" and self.estimator == "smoothed-beran" and self.bandwidth_g is not None:
             raise ValueError("bandwidth_g must come with bandwidth_h; with neither, the ground-truth search sets both")
 

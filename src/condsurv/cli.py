@@ -32,7 +32,7 @@ from .errors import (
     SelectionFailedError,
 )
 from .estimators import _estimator_bandwidths, beran_survival, kaplan_meier, smoothed_beran_survival
-from .regions import _check_alpha, _region, write_region_csv
+from .regions import _check_alpha, _check_replicates, _region, write_region_csv
 from .resampling import resample
 from .samples import TimeGrid
 
@@ -323,6 +323,7 @@ def _cmd_select_bandwidth(args) -> int:
 def _cmd_region(args) -> int:
     _estimator_bandwidths(args.estimator, args.h, args.g)
     _check_alpha(args.alpha)
+    _check_replicates((args.method,), args.B)
     stems, sample, grid, record = _prepare(args)
     plan = _resampling_plan(args.estimator, sample, args.c, args.seed, args.B)
     resamples, diagnostics = resample(sample, plan, args.support)
@@ -394,6 +395,10 @@ def _report_failure(args, argv, exc: Exception, code: int) -> int:
 
 
 def console_main() -> None:
+    # condsurv calls no scipy BLAS routine, yet scipy's bundled OpenBLAS, loaded later with ndtri, starts one
+    # worker per extra core that spins for about 0.1 s; numpy's BLAS is already loaded and keeps its threads
+    if not any(name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     sys.exit(main())
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -98,11 +99,11 @@ def load_csv(path, schema: DatasetSchema = DatasetSchema()) -> LoadedDataset:
             x = _parse_number(row[col[schema.covariate_column]], schema.covariate_column, line_number)
             z = _parse_number(row[col[schema.time_column]], schema.time_column, line_number)
             d = _parse_number(row[col[schema.status_column]], schema.status_column, line_number)
-            if not np.isfinite(x):
+            if not math.isfinite(x):
                 raise DataValidationError(
                     f"line {line_number}: covariate must be finite, got {x!r}", line_number
                 )
-            if not np.isfinite(z) or z < 0.0:
+            if not math.isfinite(z) or z < 0.0:
                 raise DataValidationError(
                     f"line {line_number}: time must be finite and nonnegative, got {z!r}",
                     line_number,

@@ -77,18 +77,17 @@ def _at_risk_rows(w: np.ndarray) -> np.ndarray:
     return np.subtract(1.0, at_risk, out=at_risk)
 
 
-def _product_limit_rows(w: np.ndarray, d: np.ndarray, at_risk: np.ndarray | None = None) -> np.ndarray:
+def _product_limit_rows(w: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Survival values after each sorted observation, one row per sample.
 
     Each step writes into one of two buffers owned here (`w` is not
     modified), so no array of the full size is allocated per operation.
-    A given `at_risk` (from `_at_risk_rows(w)`) is clamped in place; the
-    clamp keeps every value's side of the threshold, so the same array
-    serves another law with the same weights and the same column order.
     """
-    if at_risk is None:
-        at_risk = _at_risk_rows(w)
-    factors = np.multiply(w, d)  # the event mass, until it becomes the factor
+    return _survival_from_masses(np.multiply(w, d), _at_risk_rows(w))
+
+
+def _survival_from_masses(factors: np.ndarray, at_risk: np.ndarray) -> np.ndarray:
+    """The product-limit survival rows from event masses, in place in `factors`; `at_risk` is clamped in place."""
     # clamping the denominator avoids subnormal divisions; with the clip it
     # yields factor 0 whenever the at-risk mass is negligible but the event
     # mass is not, and the explicit fix restores factor 1 when both vanish
@@ -100,12 +99,6 @@ def _product_limit_rows(w: np.ndarray, d: np.ndarray, at_risk: np.ndarray | None
     np.clip(factors, 0.0, 1.0, out=factors)
     factors[vanish] = 1.0
     return np.cumprod(factors, axis=1, out=factors)
-
-
-def _cdf_rows(w: np.ndarray, d: np.ndarray, at_risk: np.ndarray | None = None) -> np.ndarray:
-    """One minus the product-limit rows: the step cdf after each sorted observation."""
-    surv = _product_limit_rows(w, d, at_risk)
-    return np.subtract(1.0, surv, out=surv)
 
 
 def _jumps_from_survival(surv: np.ndarray) -> np.ndarray:
@@ -255,16 +248,16 @@ def _validate_bandwidth(value: float, name: str) -> float:
     return value
 
 
-def _estimator_bandwidths(estimator: str, h: float | None, g: float | None) -> tuple:
-    """The bandwidths (h, g) an estimator takes, checked: beran takes h alone and gets g None."""
+def _estimator_bandwidths(estimator: str, h: float | None, g: float | None, names=("h", "g")) -> tuple:
+    """The bandwidths (h, g) an estimator takes, checked and called `names` in errors: beran takes h alone."""
     if h is None:
-        raise ValueError(f"h must be given for the {estimator} estimator")
-    h = _validate_bandwidth(h, "h")
+        raise ValueError(f"{names[0]} must be given for the {estimator} estimator")
+    h = _validate_bandwidth(h, names[0])
     if estimator == "beran":
         return h, None
     if g is None:
-        raise ValueError(f"g must be given for the {estimator} estimator")
-    return h, _validate_bandwidth(g, "g")
+        raise ValueError(f"{names[1]} must be given for the {estimator} estimator")
+    return h, _validate_bandwidth(g, names[1])
 
 
 def beran_weights(

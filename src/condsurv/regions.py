@@ -94,6 +94,12 @@ def _check_alpha(alpha: float) -> None:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha!r}")
 
 
+def _check_replicates(methods, B: int) -> None:
+    # method 1's sigma* is a standard deviation across the bootstrap curves
+    if 1 in methods and B < 2:
+        raise ValueError(f"B must be at least 2 for method 1, got {B!r}")
+
+
 def calibrate_lambda(pilot_values, curves, sigma_star, alpha: float) -> float:
     """Exact order-statistic solution of the coverage equation p_hat(lambda) >= 1 - alpha.
 
@@ -158,6 +164,7 @@ def _region(methods, sample, x0s, h, plan, grid, alpha=0.05, g=None, estimator="
     curves, pilot and centre serve every method.
     """
     _check_alpha(alpha)
+    _check_replicates(methods, plan.B)
     # estimator tags and resampling scheme names are the same strings
     if plan.scheme != estimator:
         raise ValueError(f"{estimator!r} regions require a {estimator!r}-scheme plan, got {plan.scheme!r}")

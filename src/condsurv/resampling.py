@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateWeightsError
-from .estimators import _at_risk_rows, _cdf_rows, _query_weights, _sort_order
+from .estimators import _at_risk_rows, _query_weights, _sort_order, _survival_from_masses
 from . import kernels
 from .kernels import _mirrored, fold_into_support
 from .samples import SurvivalSample
@@ -132,12 +132,16 @@ def inverse_transform_sample(cdf: StepCDF, u):
 def _conditional_laws(sample, bandwidth, support):
     """The lifetime and censoring laws of a sample at one covariate bandwidth.
 
-    Returns (atoms, block_rows, laws).  `atoms` holds the sorted times of
-    each law: ascending z, that law's events first at ties, so the two orders
-    differ only where an event and a censoring share a time.  `laws(block,
-    diag)` gives the lifetime and the censoring cdf rows at a block of query
-    covariates; blocks of `block_rows` queries hold about _BLOCK_BYTES of
-    kernel weights.  A query with no kernel mass raises
+    Returns (atoms, columns, block_rows, laws).  `atoms` holds the sorted
+    times of each law: ascending z, that law's events first at ties, so the
+    two orders differ only where an event and a censoring share a time.
+    `laws(block, diag)` gives the lifetime and the censoring cdf rows at a
+    block of query covariates on each law's `columns`: a leading column with
+    cdf 0, so that u = 0 inverts to the first atom, then the event columns.
+    Elsewhere the product-limit factor is exactly 1, so a full row repeats
+    the last event column's value.  The rows are views of work arrays that
+    the next block overwrites; blocks of `block_rows` queries hold about
+    _BLOCK_BYTES of kernel weights.  A query with no kernel mass raises
     DegenerateWeightsError, or, when `diag` is given, moves in place to the
     nearest sample covariate and counts as a retried draw.  Every step is
     row-wise, so a row does not depend on the block it is in.
@@ -145,11 +149,23 @@ def _conditional_laws(sample, bandwidth, support):
     x_kern, folded = _mirrored(sample.x, support), support is not None
     events = (sample.delta, 1.0 - sample.delta)
     orders = [_sort_order(sample.z, e) for e in events]
-    events = [e[order] for e, order in zip(events, orders)]
+    columns = [np.concatenate(([0], np.flatnonzero(e[order]))) for e, order in zip(events, orders)]
     same_order = np.array_equal(*orders)
+    block_rows = max(1, _BLOCK_BYTES // (8 * x_kern.size))
+    # each law's event and at-risk masses; fresh arrays in every block would fault in fresh pages
+    work = [(np.empty((block_rows, c.size)), np.empty((block_rows, c.size))) for c in columns]
 
     def weights(queries):
         return _query_weights(x_kern, folded, queries[:, None], bandwidth)
+
+    def cdf_rows(ordered, at_risk, law):
+        # the gathers write into the work arrays directly; mode "raise" would buffer them
+        mass, risk = (a[:ordered.shape[0]] for a in work[law])
+        np.take(ordered, columns[law], axis=1, out=mass, mode="clip")
+        mass[:, 0] = 0.0
+        np.take(at_risk, columns[law], axis=1, out=risk, mode="clip")
+        surv = _survival_from_masses(mass, risk)
+        return np.subtract(1.0, surv, out=surv)
 
     def laws(block, diag=None):
         w, ok = weights(block)
@@ -162,17 +178,16 @@ def _conditional_laws(sample, bandwidth, support):
             diag.retried_draws += bad.size
             block[bad] = sample.x[np.abs(sample.x[None, :] - block[bad, None]).argmin(axis=1)]
             w[bad] = weights(block[bad])[0]
+        # the at-risk mass sums every column of the law's order, so one array serves both laws when the orders agree
         ordered = np.take(w, orders[0], axis=1)
-        # with one column order the two laws share the weights and their at-risk mass
-        at_risk = _at_risk_rows(ordered) if same_order else None
-        lifetime = _cdf_rows(ordered, events[0], at_risk)
+        at_risk = _at_risk_rows(ordered)
+        lifetime = cdf_rows(ordered, at_risk, 0)
         if not same_order:
-            ordered = np.take(w, orders[1], axis=1)
-        del w
-        return lifetime, _cdf_rows(ordered, events[1], at_risk)
+            np.take(w, orders[1], axis=1, out=ordered, mode="clip")
+            at_risk = _at_risk_rows(ordered)
+        return lifetime, cdf_rows(ordered, at_risk, 1)
 
-    block_rows = max(1, _BLOCK_BYTES // (8 * x_kern.size))
-    return [sample.z[order] for order in orders], block_rows, laws
+    return [sample.z[order] for order in orders], columns, block_rows, laws
 
 
 def conditional_step_law(
@@ -185,15 +200,18 @@ def conditional_step_law(
     """Estimated conditional step law of T (or C when `censoring`) at x0.
 
     This is exactly the table the resampler draws from, as a block of one
-    row; exposed for diagnostics and law-level tests.
+    row expanded to every atom; exposed for diagnostics and law-level tests.
     """
-    atoms, _, laws = _conditional_laws(sample, bandwidth, support)
-    return StepCDF(atoms=atoms[int(censoring)], cum=laws(np.atleast_1d(float(x0)))[int(censoring)][0])
+    atoms, columns, _, laws = _conditional_laws(sample, bandwidth, support)
+    law = int(censoring)
+    # atom i reads the table at the number of the law's events among atoms 0 to i
+    expand = np.searchsorted(columns[law][1:], np.arange(atoms[law].size), side="right")
+    return StepCDF(atoms=atoms[law], cum=laws(np.atleast_1d(float(x0)))[law][0][expand])
 
 
 def _rows_inverse(table: np.ndarray, rows: np.ndarray, atoms: np.ndarray, u: np.ndarray):
     # inf{t : cdf(t) >= u[i]} on the nondecreasing row table[rows[i]], by a binary search reading the
-    # table in place; u at or beyond the row's terminal value saturates at the largest atom
+    # table in place; u at or beyond the row's terminal value saturates at atoms[-1], the law's largest atom
     m = table.shape[1]
     idx = np.zeros(u.shape, dtype=np.intp)  # entries known to lie below u; past m only if all do
     step = 1 << (m.bit_length() - 1)
@@ -258,7 +276,9 @@ def resample(
         # both laws at the sample covariates, draw i reading row j[i]
         queries, rows, retry = sample.x, j, None
     # the block loop: draws sorted by row once, each block's laws invert the draws that read its rows
-    atoms, block_rows, laws = _conditional_laws(sample, plan.pilot_r, support)
+    atoms, columns, block_rows, laws = _conditional_laws(sample, plan.pilot_r, support)
+    # each table's atoms, then the law's largest atom, which its saturated draws return
+    atoms = [np.append(a[c], a[-1]) for a, c in zip(atoms, columns)]
     order = np.argsort(rows, kind="stable")
     sorted_rows = rows[order]
     times = [(np.empty(B * n), np.empty(B * n, dtype=bool)) for _ in atoms]

@@ -75,8 +75,11 @@ def reference_product_limit_rows(w, d):
     return np.cumprod(factors, axis=1)
 
 
-def fresh_python(args, cwd=None):
-    """Run `python args...` in a new interpreter that imports this checkout of condsurv."""
+def fresh_python(args, cwd=None, env=None):
+    """Run `python args...` in a new interpreter that imports this checkout of condsurv.
+
+    `env` replaces the inherited environment; PYTHONPATH is set either way.
+    """
     import os
     import subprocess
     import sys
@@ -85,5 +88,6 @@ def fresh_python(args, cwd=None):
     import condsurv
 
     src = str(Path(condsurv.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    env = os.environ if env is None else env
+    env = dict(env, PYTHONPATH=os.pathsep.join([src, env.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, *args], env=env, cwd=cwd, capture_output=True, text=True)

@@ -375,10 +375,22 @@ class TestScaling:
     ({"methods": (3,)}, "methods"),
     ({"methods": (1, 0)}, "methods"),
     ({"methods": ()}, "methods"),
+    ({"mode": "regions", "bandwidth_h": -1.0}, "bandwidth_h"),
+    ({"mode": "regions", "bandwidth_h": float("nan")}, "bandwidth_h"),
+    ({"mode": "regions", "estimator": "smoothed-beran", "bandwidth_h": 0.2}, "bandwidth_g"),
+    ({"mode": "regions", "estimator": "smoothed-beran", "bandwidth_h": 0.2, "bandwidth_g": 0.0}, "bandwidth_g"),
+    ({"mode": "regions", "B": 1}, "B"),
+    ({"mode": "regions", "methods": (1,), "B": 1}, "B"),
 ])
 def test_config_counts_and_alpha_are_checked(entries, field):
     with pytest.raises(ValueError, match=f"^{field} must"):
         BenchConfig(**entries)
+
+
+def test_one_replicate_serves_a_study_without_method_1():
+    # method 1's sigma* needs two bootstrap curves; method 2 and a bandwidth study need one
+    BenchConfig(mode="regions", methods=(2,), B=1)
+    BenchConfig(mode="bandwidth", B=1)
 
 
 def test_an_infinite_budget_sets_no_limit():

@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 from pathlib import Path
 
@@ -353,6 +354,9 @@ class TestFlagValidation:
         (("region", "--x0", "0.5", "--h", "-0.2", "--seed", "3"), "h must be a positive finite number"),
         (("region", "--estimator", "smoothed-beran", "--x0", "0.5", "--h", "0.2", "--seed", "3"), "g must be given"),
         (("region", "--x0", "0.5", "--h", "0.2", "--alpha", "1.5", "--seed", "3"), "alpha must lie in (0, 1)"),
+        (("region", "--x0", "0.5", "--h", "0.2", "--B", "1", "--seed", "3"), "B must be at least 2 for method 1"),
+        (("region", "--method", "1", "--estimator", "smoothed-beran", "--x0", "0.5", "--h", "0.2", "--g", "0.1",
+          "--B", "1", "--seed", "3"), "B must be at least 2 for method 1"),
     ])
     def test_bandwidths_and_alpha_are_checked_before_the_data_are_read(self, tmp_path, monkeypatch, flags,
                                                                        message):
@@ -368,6 +372,12 @@ class TestFlagValidation:
         record = json.loads(err_path.read_text())
         assert code == 2 and record["exit_code"] == 2
         assert record["message"].startswith(message)
+
+    def test_method_2_takes_one_replicate(self, tmp_path):
+        # only method 1's sigma* needs two bootstrap curves
+        code = main(["region", "--method", "2", "--data", _model_csv(tmp_path), "--x0", "0.5", "--h", "0.3",
+                     "--B", "1", "--seed", "3", "--n-grid", "8", "--out", str(tmp_path / "out")])
+        assert code == 0 and (tmp_path / "out_x0p5.csv").exists()
 
     @pytest.mark.parametrize("flags", [
         ("region", "--h", "0.3"),
@@ -793,8 +803,11 @@ class TestSimulateCountsCheckedFirst:
         (["--mode", "regions", "--alpha", "1.5"], "alpha"),
         (["--budget-minutes", "nan"], "budget_seconds"),
         (["--budget-minutes", "-1"], "budget_seconds"),
-        (["--mode", "regions", "--h", "-1"], "h"),
+        (["--mode", "regions", "--h", "-1"], "bandwidth_h"),
         (["--mode", "regions", "--estimator", "smoothed-beran", "--g", "0.05"], "bandwidth_g"),
+        (["--mode", "regions", "--estimator", "smoothed-beran", "--h", "0.2"], "bandwidth_g"),
+        (["--mode", "regions", "--h", "0.2", "--B", "1"], "B"),
+        (["--mode", "regions", "--B", "1"], "B"),
     ])
     def test_exit_2_before_any_draw(self, tmp_path, monkeypatch, command, flags, field):
         import condsurv.benchmark
@@ -828,6 +841,42 @@ def test_memory_error_exits_3_with_the_record(tmp_path, monkeypatch):
     assert code == 3
     assert record == {"error": "MemoryError", "exit_code": 3,
                       "message": "Unable to allocate 2.98 GiB for an array with shape (20000, 20000)"}
+
+
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task") or (os.cpu_count() or 1) < 2,
+                    reason="counts threads under /proc/self/task, and BLAS starts workers only on two or more cores")
+@pytest.mark.parametrize("preset", [{}, {"OMP_NUM_THREADS": "2"}])
+def test_console_main_starts_no_scipy_blas_worker(tmp_path, preset):
+    # scipy's OpenBLAS loads with ndtri during a smoothed run; unless the user set a thread variable, the
+    # process ends with the threads it had right after `import numpy`, and a set variable is left as given
+    code = f"""
+import os, sys
+import numpy
+threads = len(os.listdir("/proc/self/task"))
+before = dict(os.environ)
+from condsurv.cli import console_main
+sys.argv = ["condsurv", "region", "--data", {_model_csv(tmp_path)!r}, "--estimator", "smoothed-beran",
+            "--x0", "0.5", "--h", "0.3", "--g", "0.1", "--B", "4", "--seed", "3", "--n-grid", "8",
+            "--out", {str(tmp_path / "out")!r}]
+try:
+    console_main()
+except SystemExit as exc:
+    added = {{k: v for k, v in os.environ.items() if before.get(k) != v}}
+    print(exc.code, threads, len(os.listdir("/proc/self/task")), added)
+"""
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES} | preset
+    proc = fresh_python(["-c", code], env=env)
+    assert proc.returncode == 0, proc.stderr
+    code, after_numpy, at_exit, added = proc.stdout.split(maxsplit=3)
+    assert code == "0"
+    if preset:
+        assert added.strip() == "{}"
+    else:
+        assert at_exit == after_numpy
+        assert added.strip() == "{'OPENBLAS_NUM_THREADS': '1'}"
 
 
 LAZY_MODULES = ("scipy.special", "concurrent.futures.process")

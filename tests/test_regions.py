@@ -338,6 +338,22 @@ class TestRegionBuilders:
         with pytest.raises(ValueError, match="alpha must"):
             builder(self.sample, 0.6, 0.3, self.plan, self.grid, alpha=1.5, support=self.model.support)
 
+    def test_method1_needs_two_replicates_before_any_is_drawn(self, monkeypatch):
+        import condsurv.bandwidth
+
+        def no_draw(*args, **kwargs):
+            raise AssertionError("resamples were drawn before B was checked")
+
+        monkeypatch.setattr(condsurv.bandwidth, "resample", no_draw)
+        plan = ResamplingPlan(SCHEME_BERAN, self.plan.pilot_r, 5, 1)
+        with pytest.raises(ValueError, match="^B must be at least 2 for method 1, got 1$"):
+            region_method1(self.sample, 0.6, 0.3, plan, self.grid, support=self.model.support)
+
+    def test_method2_takes_one_replicate(self):
+        plan = ResamplingPlan(SCHEME_BERAN, self.plan.pilot_r, 5, 1)
+        region = region_method2(self.sample, 0.6, 0.3, plan, self.grid, support=self.model.support)
+        assert np.all(region.lower <= region.upper)
+
     def test_scheme_estimator_mismatch(self):
         with pytest.raises(ValueError):
             region_method1(

@@ -388,7 +388,7 @@ def test_rows_inverse_matches_the_formulas_it_replaces(m):
 
 
 def test_rows_inverse_on_product_limit_rows():
-    from condsurv.estimators import _cdf_rows
+    from condsurv.estimators import _product_limit_rows
     from condsurv.resampling import _rows_inverse
 
     rng = np.random.default_rng(31)
@@ -396,7 +396,7 @@ def test_rows_inverse_on_product_limit_rows():
     w = rng.random((n, n)) ** 8
     w /= w.sum(axis=1, keepdims=True)
     delta = (rng.random(n) < 0.6).astype(float)
-    table = _cdf_rows(w, delta)
+    table = 1.0 - _product_limit_rows(w, delta)
     assert np.all(np.diff(table, axis=1) >= 0.0)
     atoms = np.sort(rng.exponential(1.0, n))
     rows = rng.integers(0, n, 5000)
@@ -511,8 +511,9 @@ def test_retries_inside_small_blocks(monkeypatch, rows):
 @pytest.mark.parametrize("tied", [False, True])
 @pytest.mark.parametrize("support", [None, (0.0, 1.0)])
 def test_laws_equal_separate_cdf_rows(tied, support):
-    # with one column order the laws share their at-risk mass; both must equal their own _cdf_rows
-    from condsurv.estimators import _cdf_rows, _sort_order
+    # with one column order the laws share their at-risk mass; both must equal their own full-row cdf at
+    # their event columns
+    from condsurv.estimators import _product_limit_rows, _sort_order
     from condsurv.kernels import _mirrored
     from condsurv.resampling import _conditional_laws
 
@@ -525,9 +526,9 @@ def test_laws_equal_separate_cdf_rows(tied, support):
     assert np.array_equal(*orders) is not tied
     w, ok = reference_query_weights(_mirrored(sample.x, support), support is not None, sample.x[:, None], 0.1)
     assert ok.all()
-    _, _, laws = _conditional_laws(sample, 0.1, support)
-    for law, e, order in zip(laws(sample.x), events, orders, strict=True):
-        np.testing.assert_array_equal(law, _cdf_rows(w[:, order], e[order]))
+    _, columns, _, laws = _conditional_laws(sample, 0.1, support)
+    for law, cols, e, order in zip(laws(sample.x), columns, events, orders, strict=True):
+        np.testing.assert_array_equal(law[:, 1:], (1.0 - _product_limit_rows(w[:, order], e[order]))[:, cols[1:]])
 
 
 def test_step_law_without_kernel_mass_raises():
@@ -554,3 +555,117 @@ def test_beran_resample_memory_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 24 * 2**20
+
+
+# Each law's table holds only its event columns.  `full_row_laws` is the builder it replaced: every
+# column of each law's order through the full-row product-limit, with the same retries and blocks.
+def full_row_laws(sample, bandwidth, support):
+    from condsurv import resampling
+    from condsurv.estimators import _product_limit_rows, _query_weights, _sort_order
+    from condsurv.kernels import _mirrored
+
+    x_kern, folded = _mirrored(sample.x, support), support is not None
+    laws = [(e, _sort_order(sample.z, e)) for e in (sample.delta, 1.0 - sample.delta)]
+
+    def rows(block, diag=None):
+        w, ok = _query_weights(x_kern, folded, block[:, None], bandwidth)
+        if not ok.all():
+            bad = np.flatnonzero(~ok)
+            diag.retried_draws += bad.size
+            block[bad] = sample.x[np.abs(sample.x[None, :] - block[bad, None]).argmin(axis=1)]
+            w[bad] = _query_weights(x_kern, folded, block[bad, None], bandwidth)[0]
+        return [1.0 - _product_limit_rows(w[:, order], e[order]) for e, order in laws]
+
+    block_rows = max(1, resampling._BLOCK_BYTES // (8 * x_kern.size))
+    return [sample.z[order] for _, order in laws], [np.arange(sample.n)] * 2, block_rows, rows
+
+
+def _event_column_case(name):
+    sample = generate_sample(make_model("model1", 0.5), 120, 12)
+    if name == "tied":
+        sample = SurvivalSample(x=sample.x, z=np.round(sample.z, 1), delta=sample.delta)
+    elif name == "all-events":  # the censoring law has no event column
+        sample = SurvivalSample(x=sample.x, z=sample.z, delta=np.ones(sample.n))
+    elif name == "largest-censored":  # a saturated lifetime draw returns a censored time
+        delta = sample.delta.copy()
+        delta[np.argmax(sample.z)] = 0.0
+        sample = SurvivalSample(x=sample.x, z=sample.z, delta=delta)
+    return sample
+
+
+EVENT_COLUMN_CASES = ["untied", "tied", "all-events", "largest-censored"]
+
+
+@pytest.mark.parametrize("case", EVENT_COLUMN_CASES)
+@pytest.mark.parametrize("support", [None, (0.0, 1.0)])
+def test_event_column_tables_and_inversion_equal_full_rows(case, support):
+    from condsurv.estimators import _sort_order
+    from condsurv.resampling import _conditional_laws, _rows_inverse
+
+    sample = _event_column_case(case)
+    queries = np.linspace(0.0, 1.0, 23)
+    atoms, columns, _, laws = _conditional_laws(sample, 0.1, support)
+    full_atoms, _, _, full_rows = full_row_laws(sample, 0.1, support)
+    for law, (table, full) in enumerate(zip(laws(queries.copy()), full_rows(queries.copy()), strict=True)):
+        events = (sample.delta, 1.0 - sample.delta)[law]
+        np.testing.assert_array_equal(atoms[law], full_atoms[law])
+        np.testing.assert_array_equal(columns[law][1:], np.flatnonzero(events[_sort_order(sample.z, events)]))
+        assert not table[:, 0].any()
+        np.testing.assert_array_equal(table[:, 1:], full[:, columns[law][1:]])
+        # per row: u = 0, every table value and the next double above it, the terminal value, and beyond it
+        u = np.concatenate([np.concatenate([[0.0], t, np.nextafter(t, 2.0), [t[-1], 1.0 - 1e-16]]) for t in table])
+        rows = np.repeat(np.arange(queries.size), 2 * table.shape[1] + 3)
+        draw_atoms = np.append(atoms[law][columns[law]], atoms[law][-1])
+        got, got_sat = _rows_inverse(table, rows, draw_atoms, u)
+        expected, expected_sat = _rows_inverse(full, rows, full_atoms[law], u)
+        np.testing.assert_array_equal(got, expected)
+        np.testing.assert_array_equal(got_sat, expected_sat)
+        # u = 0 reads the first atom, unless the law has no event and every draw saturates
+        assert np.all(got[(u == 0.0) & ~got_sat] == atoms[law][0]) and got_sat.any()
+        if case == "largest-censored" and law == 0:
+            assert np.all(got[got_sat] == sample.z.max()) and sample.z.max() not in draw_atoms[:-1]
+        # the step law expands the table to every atom, so it is the full row
+        for q in range(0, queries.size, 5):
+            step = conditional_step_law(sample, 0.1, queries[q], support, censoring=bool(law))
+            np.testing.assert_array_equal(step.cum, full[q])
+
+
+@pytest.mark.parametrize("case, scheme", [(c, s) for c in EVENT_COLUMN_CASES for s in (SCHEME_BERAN, SCHEME_SMOOTHED)]
+                         + [("retried", SCHEME_SMOOTHED)])
+@pytest.mark.parametrize("rows", [7, None])
+def test_resample_draws_equal_full_row_draws(monkeypatch, case, scheme, rows):
+    from condsurv import kernels, resampling
+
+    sample = _event_column_case("untied" if case == "retried" else case)
+    # reflection would fold the far covariates of the retried case back into the support
+    support = None if case == "retried" else (0.0, 1.0)
+    if case == "retried":
+        original = kernels._noise
+        calls = []
+
+        def far_noise(rng, size):  # as in test_retries_inside_small_blocks
+            noise = original(rng, size)
+            if len(calls) % 3 == 0:
+                noise[::9] = np.where(noise[::9] < 0.0, -1e3, 1e3)
+            calls.append(size)
+            return noise
+
+        monkeypatch.setattr(kernels, "_noise", far_noise)
+    if rows is not None:  # blocks of 7 rows straddle the smoothed scheme's replicates
+        _block_budget(monkeypatch, sample, support, rows)
+    plan = ResamplingPlan(scheme, 0.1, 6, 8, pilot_s=0.05 if scheme == SCHEME_SMOOTHED else None)
+    out, diag = resample(sample, plan, support=support)
+    monkeypatch.setattr(resampling, "_conditional_laws", full_row_laws)
+    if case == "retried":
+        calls.clear()
+    expected, expected_diag = resample(sample, plan, support=support)
+    assert diag == expected_diag
+    assert (diag.retried_draws > 0) == (case == "retried")
+    if case == "largest-censored":
+        assert diag.saturated_time_draws > 0
+    if case == "all-events":
+        assert diag.saturated_censoring_draws == plan.B * sample.n
+    for a, b in zip(out, expected, strict=True):
+        np.testing.assert_array_equal(a.x, b.x)
+        np.testing.assert_array_equal(a.z, b.z)
+        np.testing.assert_array_equal(a.delta, b.delta)
