@@ -39,7 +39,11 @@ that failed.  A file whose bytes differ while all its numbers and strings
 agree is reported as ``same values; line endings differ`` when the bytes
 agree once CRLF is read as LF, and as ``same values; text differs``
 otherwise.  Exit status 0 means every file is byte-identical, 1 that some
-file differs, 2 that a command failed.
+file differs, 2 that a command failed.  Every command runs with
+``OPENBLAS_NUM_THREADS``, ``GOTO_NUM_THREADS`` and ``OMP_NUM_THREADS``
+removed from its environment, so that each tree's CLI applies its own
+thread rule; a variable preset in the caller's shell would otherwise hide
+a change to that rule.
 """
 
 from __future__ import annotations
@@ -58,6 +62,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 SKIPPED = {"timings.json"}
 # name: (subcommand, flags besides --seed (for subcommands that take it) and --out,
 #        (sample size, censoring[, "tied" for times rounded to one decimal or "all-events" for every
@@ -197,8 +202,11 @@ def compare_file(a: Path, b: Path) -> tuple[bool, str]:
 
 
 def run_commands(tree: Path, cmds, out_dir: Path) -> list[str]:
-    """Run the commands against one source tree; returns the failures."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    """Run the commands against one source tree; returns the failures.
+
+    The BLAS thread variables are removed from the commands' environment, so each tree applies its own rule.
+    """
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES} | {"PYTHONPATH": str(tree / "src")}
     failures = []
     for cmd in cmds:
         argv = [sys.executable, "-m", "condsurv", cmd.sub, *cmd.args, "--out", str(out_dir / cmd.out)]

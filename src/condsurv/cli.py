@@ -393,14 +393,3 @@ def _report_failure(args, argv, exc: Exception, code: int) -> int:
             print(f"error: the error record {args.error_json!r} could not be written: {write_exc}", file=sys.stderr)
     return code
 
-
-def console_main() -> None:
-    # condsurv calls no scipy BLAS routine, yet scipy's bundled OpenBLAS, loaded later with ndtri, starts one
-    # worker per extra core that spins for about 0.1 s; numpy's BLAS is already loaded and keeps its threads
-    if not any(name in os.environ for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")):
-        os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    sys.exit(main())
-
-
-if __name__ == "__main__":
-    console_main()

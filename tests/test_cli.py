@@ -850,33 +850,53 @@ THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS
                     reason="counts threads under /proc/self/task, and BLAS starts workers only on two or more cores")
 @pytest.mark.parametrize("preset", [{}, {"OMP_NUM_THREADS": "2"}])
 def test_console_main_starts_no_scipy_blas_worker(tmp_path, preset):
-    # scipy's OpenBLAS loads with ndtri during a smoothed run; unless the user set a thread variable, the
-    # process ends with the threads it had right after `import numpy`, and a set variable is left as given
+    # `python -m condsurv` sets the thread variable before numpy loads, and scipy's OpenBLAS loads with ndtri
+    # during a smoothed run: unless the user set a thread variable, no BLAS worker starts and the process ends
+    # with its one thread; a set variable is left as given
     code = f"""
-import os, sys
-import numpy
-threads = len(os.listdir("/proc/self/task"))
+import os, runpy, sys
 before = dict(os.environ)
-from condsurv.cli import console_main
 sys.argv = ["condsurv", "region", "--data", {_model_csv(tmp_path)!r}, "--estimator", "smoothed-beran",
             "--x0", "0.5", "--h", "0.3", "--g", "0.1", "--B", "4", "--seed", "3", "--n-grid", "8",
             "--out", {str(tmp_path / "out")!r}]
 try:
-    console_main()
+    runpy.run_module("condsurv", run_name="__main__")
 except SystemExit as exc:
-    added = {{k: v for k, v in os.environ.items() if before.get(k) != v}}
-    print(exc.code, threads, len(os.listdir("/proc/self/task")), added)
+    changed = {{k: v for k, v in os.environ.items() if before.get(k) != v}}
+    removed = sorted(before.keys() - os.environ.keys())
+    print(exc.code, len(os.listdir("/proc/self/task")), changed, removed)
 """
     env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES} | preset
     proc = fresh_python(["-c", code], env=env)
     assert proc.returncode == 0, proc.stderr
-    code, after_numpy, at_exit, added = proc.stdout.split(maxsplit=3)
+    code, at_exit, changes = proc.stdout.split(maxsplit=2)
     assert code == "0"
     if preset:
-        assert added.strip() == "{}"
+        assert changes.strip() == "{} []"
     else:
-        assert at_exit == after_numpy
-        assert added.strip() == "{'OPENBLAS_NUM_THREADS': '1'}"
+        assert at_exit == "1"
+        assert changes.strip() == "{'OPENBLAS_NUM_THREADS': '1'} []"
+
+
+def test_importing_the_main_module_loads_no_numpy_and_runs_nothing():
+    code = ("import os, sys, condsurv.__main__; "
+            "print('numpy' in sys.modules, sorted(m for m in sys.modules if m.startswith('condsurv')), "
+            "'OPENBLAS_NUM_THREADS' in os.environ)")
+    env = {k: v for k, v in os.environ.items() if k not in THREAD_VARIABLES}
+    proc = fresh_python(["-c", code], env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False ['condsurv', 'condsurv.__main__'] False"
+
+
+def test_the_installed_script_is_the_main_modules_console_main():
+    import importlib
+
+    tomllib = pytest.importorskip("tomllib")
+    import condsurv.__main__
+
+    project = tomllib.loads((Path(__file__).resolve().parent.parent / "pyproject.toml").read_text())
+    module_name, function = project["project"]["scripts"]["condsurv"].split(":")
+    assert getattr(importlib.import_module(module_name), function) is condsurv.__main__.console_main
 
 
 LAZY_MODULES = ("scipy.special", "concurrent.futures.process")

@@ -1,12 +1,16 @@
 import importlib
 import inspect
+import json
+import textwrap
 
 import pytest
 
 import condsurv
+from conftest import fresh_python
 
-MODULES = ["bandwidth", "benchmark", "dataio", "estimators", "kernels", "regions", "resampling",
-           "samples", "simulation"]
+# in the order in which the package's __all__ lists their names
+MODULES = ["samples", "kernels", "estimators", "resampling", "bandwidth", "regions", "simulation", "benchmark",
+           "dataio"]
 
 # a dotted name is a class attribute
 RETIRED = {
@@ -44,7 +48,46 @@ def test_the_package_exports_each_module_list_once():
     for module_name in MODULES:
         declared += importlib.import_module(f"condsurv.{module_name}").__all__
     assert len(set(condsurv.__all__)) == len(condsurv.__all__)
-    assert sorted(condsurv.__all__) == sorted(declared)
+    assert condsurv.__all__ == declared
+
+
+def _fresh_json(code):
+    proc = fresh_python(["-c", textwrap.dedent(code)])
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_import_loads_no_numpy_and_no_module():
+    loaded = _fresh_json("""
+        import json, sys, condsurv
+        print(json.dumps(sorted(m for m in sys.modules if m.split(".")[0] == "numpy" or m.startswith("condsurv."))))
+    """)
+    assert loaded == []
+
+
+def test_star_import_and_dir_cover_every_name():
+    missing = _fresh_json(f"""
+        import json, condsurv
+        listed = dir(condsurv)
+        from condsurv import *
+        print(json.dumps({{"unbound": [n for n in condsurv.__all__ if n not in globals()],
+                           "not in dir": [n for n in condsurv.__all__ + {MODULES!r} if n not in listed]}}))
+    """)
+    assert missing == {"unbound": [], "not in dir": []}
+
+
+def test_a_module_name_is_the_module_and_an_unknown_name_raises():
+    found = _fresh_json("""
+        import json, sys, condsurv
+        is_module = condsurv.estimators is sys.modules["condsurv.estimators"]
+        curve = condsurv.beran_survival
+        cached = vars(condsurv).get("beran_survival") is curve is sys.modules["condsurv.estimators"].beran_survival
+        try:
+            condsurv.no_such_name
+        except AttributeError as exc:
+            print(json.dumps([is_module, cached, str(exc)]))
+    """)
+    assert found == [True, True, "module 'condsurv' has no attribute 'no_such_name'"]
 
 
 def test_each_public_name_has_one_home_module():
