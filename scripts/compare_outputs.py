@@ -20,7 +20,10 @@ given both ``--h`` and ``--g``, whose report records ``bandwidth_g`` as
 null; a smoothed ``region`` on an input whose statuses are all 1, so the
 censoring law has no event column and every censoring draw saturates; and a
 beran ``region`` on times rounded to one decimal, whose beran-scheme laws
-have tied times.  No workload runs these last four.  ``--seed`` is passed to every
+have tied times.  No workload runs these last four.  Every command that reads
+a data file passes ``--support 0,1`` but the last two: a smoothed ``fit`` at
+three x0 and a smoothed ``region --method 1`` at two x0, which compare the
+curves of an unreflected sample.  ``--seed`` is passed to every
 command but ``fit``, which takes none.  Every output file is then
 compared: the script prints whether its bytes are equal and, when they are
 not, the largest |difference| over its numbers (CSV cells and JSON numbers)
@@ -65,8 +68,8 @@ ROOT = Path(__file__).resolve().parent.parent
 THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
 SKIPPED = {"timings.json"}
 # name: (subcommand, flags besides --seed (for subcommands that take it) and --out,
-#        (sample size, censoring[, "tied" for times rounded to one decimal or "all-events" for every
-#        status 1]) of its --data CSV or None)
+#        (sample size, censoring[, "tied" for times rounded to one decimal, "all-events" for every
+#        status 1 or "no-support" for a command without --support]) of its --data CSV or None)
 EXTRA = {
     "smoothed-region-1600": ("region", ("--method", "1", "--estimator", "smoothed-beran", "--x0", "0.5",
                                         "--h", "0.15", "--g", "0.08", "--B", "10"), (1600, 0.2)),
@@ -90,6 +93,10 @@ EXTRA = {
                                      "--h", "0.15", "--g", "0.08", "--B", "10"), (400, 0.2, "all-events")),
     "tied-beran-region": ("region", ("--method", "1", "--estimator", "beran", "--x0", "0.3,0.6", "--h", "0.15",
                                      "--B", "10"), (400, 0.2, "tied")),
+    "no-support-fit": ("fit", ("--estimator", "smoothed-beran", "--x0", "0.05,0.5,0.95", "--h", "0.15",
+                               "--g", "0.08"), (400, 0.2, "no-support")),
+    "no-support-region": ("region", ("--method", "1", "--estimator", "smoothed-beran", "--x0", "0.05,0.6",
+                                     "--h", "0.15", "--g", "0.08", "--B", "10"), (400, 0.2, "no-support")),
 }
 
 
@@ -232,7 +239,8 @@ def extra_job(name: str, seed: int, directory: Path):
         sample = SurvivalSample(x=sample.x, z=np.round(sample.z, 1) if "tied" in variant else sample.z,
                                 delta=np.ones(n) if "all-events" in variant else sample.delta)
         save_csv(sample, csv_path)
-        args += ("--data", csv_path, "--support", workloads.SUPPORT_FLAG, "--n-grid", str(workloads.N_GRID))
+        support = () if "no-support" in variant else ("--support", workloads.SUPPORT_FLAG)
+        args += ("--data", csv_path, *support, "--n-grid", str(workloads.N_GRID))
     return [workloads.Command(sub, args, name)]
 
 

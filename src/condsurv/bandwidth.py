@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoEventsError, SelectionFailedError
-from .estimators import _CurveBatch, _single_curve
+from .estimators import _CurveBatch, _sample_curves
 from .resampling import SCHEME_BERAN, SCHEME_SMOOTHED, ResamplingPlan, resample
 from .samples import SurvivalSample, TimeGrid
 
@@ -114,9 +114,9 @@ def _resamples_or_generate(sample, plan, support, resamples):
     return resample(sample, plan, support)[0]
 
 
-def _pilot_values(sample, x0, plan, points, support):
-    g = plan.pilot_s if plan.scheme == SCHEME_SMOOTHED else None
-    return _single_curve(sample, x0, plan.pilot_r, points, support, g)
+def _pilot_point(plan: ResamplingPlan) -> tuple:
+    # a beran-scheme plan gets a Beran pilot, even when it carries a pilot_s
+    return (plan.pilot_r, plan.pilot_s if plan.scheme == SCHEME_SMOOTHED else None)
 
 
 def _validate_boxes(boxes, strategy, grid_size) -> tuple:
@@ -211,7 +211,7 @@ def _select(sample, x0s, boxes, plan, grid, strategy, grid_size, support, resamp
         raise ValueError(f"select_bandwidth_{len(boxes)}d requires a {scheme}-scheme plan")
     boxes = _validate_boxes(boxes, strategy, grid_size)
     x0s = [float(x0) for x0 in x0s]
-    pilots = {x0: _pilot_values(sample, x0, plan, grid.points, support) for x0 in x0s}
+    pilots = dict(zip(x0s, _sample_curves(sample, [(x0, _pilot_point(plan)) for x0 in x0s], grid.points, support)))
     widths = grid.cell_widths
     batch = _CurveBatch(_resamples_or_generate(sample, plan, support, resamples), grid.points, support)
 

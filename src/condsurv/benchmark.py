@@ -301,13 +301,15 @@ def _map_with_budget(fn, n_tasks: int, workers: int, deadline: float | None):
     # a fork pool starts all its workers at the first submit, so start no more than there are tasks
     with ProcessPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
         futures = [pool.submit(fn, j) for j in range(n_tasks)]
-        for j, fut in enumerate(futures):
-            if deadline is not None and time.perf_counter() > deadline:
-                incomplete = True
-                for later in futures[j:]:
-                    later.cancel()
-                break
-            results.append(fut.result())
+        try:
+            for fut in futures:
+                if deadline is not None and time.perf_counter() > deadline:
+                    incomplete = True
+                    break
+                results.append(fut.result())
+        finally:  # past the deadline or a failed task, the pool's exit waits only for the tasks already started
+            for fut in futures:
+                fut.cancel()
     return results, incomplete
 
 

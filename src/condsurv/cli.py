@@ -31,7 +31,7 @@ from .errors import (
     SchemaError,
     SelectionFailedError,
 )
-from .estimators import _estimator_bandwidths, beran_survival, kaplan_meier, smoothed_beran_survival
+from .estimators import _estimator_bandwidths, _sample_curves, kaplan_meier
 from .regions import _check_alpha, _check_replicates, _region, write_region_csv
 from .resampling import resample
 from .samples import TimeGrid
@@ -293,12 +293,9 @@ def _cmd_fit(args) -> int:
         _write_csv(f"{args.out}_km.csv", ["t", "s_hat"], zip(grid.points, curve.values))
         _write_json(f"{args.out}_km.json", record | {"h": None, "g": None, "x0": None})
         return EXIT_OK
-    for x0, stem in zip(args.x0, stems):
-        if g is None:
-            curve = beran_survival(sample, x0, h, grid, support=args.support)
-        else:
-            curve = smoothed_beran_survival(sample, x0, h, g, grid, support=args.support)
-        _write_csv(f"{stem}.csv", ["t", "s_hat"], zip(grid.points, curve.values))
+    curves = _sample_curves(sample, [(x0, (h, g)) for x0 in args.x0], grid.points, args.support)
+    for x0, stem, values in zip(args.x0, stems, curves):
+        _write_csv(f"{stem}.csv", ["t", "s_hat"], zip(grid.points, values))
         _write_json(f"{stem}.json", record | {"h": h, "g": g, "x0": x0})
     return EXIT_OK
 

@@ -231,14 +231,13 @@ class _CurveBatch:
         return kernels._cdf()(tensor, out=tensor)
 
 
-def _single_curve(sample, x0, h, points, support, g=None) -> np.ndarray:
-    """Values of one curve, evaluated as a batch of one."""
-    values, ok = _CurveBatch([sample], points, support).values([(x0, (h, g))])[0]
-    if not ok[0]:
-        raise DegenerateWeightsError(
-            f"all kernel weights vanish at x0={x0!r} with bandwidth h={h!r}"
-        )
-    return values[0]
+def _sample_curves(sample, queries: list, points, support) -> list:
+    """Each query's (x0, (h[, g])) curve values on one sample from one batch; the first with no kernel mass raises."""
+    curves = _CurveBatch([sample], points, support).values(queries)
+    for (x0, point), (_, ok) in zip(queries, curves):
+        if not ok[0]:
+            raise DegenerateWeightsError(f"all kernel weights vanish at x0={x0!r} with bandwidth h={point[0]!r}")
+    return [values[0] for values, _ in curves]
 
 
 def _validate_bandwidth(value: float, name: str) -> float:
@@ -298,7 +297,7 @@ def beran_survival(
     contribute a factor of one.
     """
     h = _validate_bandwidth(h, "h")
-    values = _single_curve(sample, x0, h, grid.points, support)
+    values = _sample_curves(sample, [(x0, (h,))], grid.points, support)[0]
     return SurvivalCurve(grid=grid, values=values, estimator_tag="beran", x0=float(x0), h=h)
 
 
@@ -326,7 +325,7 @@ def smoothed_beran_survival(
     """
     h = _validate_bandwidth(h, "h")
     g = _validate_bandwidth(g, "g")
-    values = _single_curve(sample, x0, h, grid.points, support, g)
+    values = _sample_curves(sample, [(x0, (h, g))], grid.points, support)[0]
     return SurvivalCurve(
         grid=grid, values=values, estimator_tag="smoothed-beran", x0=float(x0), h=h, g=g
     )

@@ -16,10 +16,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bandwidth import _pilot_values, _resamples_or_generate
+from .bandwidth import _pilot_point, _resamples_or_generate
 from .dataio import _write_csv, _write_json
 from .errors import DegenerateVarianceError, DegenerateWeightsError, InsufficientReplicatesError
-from .estimators import _CurveBatch, _estimator_bandwidths, _single_curve
+from .estimators import _CurveBatch, _estimator_bandwidths, _sample_curves
 from .resampling import ResamplingPlan
 from .samples import SurvivalSample, TimeGrid
 
@@ -160,8 +160,8 @@ def _region(methods, sample, x0s, h, plan, grid, alpha=0.05, g=None, estimator="
     is sigma* for method 1 and one for method 2.  With scale one the
     deviations are divided by one and lambda* multiplies one, both exactly,
     so method 2's lambda* is the sup-norm radius rho* of method2_radius.  One
-    engine call gives the bootstrap curves of every x0, and at each x0 the
-    curves, pilot and centre serve every method.
+    engine call gives the bootstrap curves of every x0, checked first, and one
+    more the pilots and centres; at each x0 these serve every method.
     """
     _check_alpha(alpha)
     _check_replicates(methods, plan.B)
@@ -170,12 +170,12 @@ def _region(methods, sample, x0s, h, plan, grid, alpha=0.05, g=None, estimator="
         raise ValueError(f"{estimator!r} regions require a {estimator!r}-scheme plan, got {plan.scheme!r}")
     h, g = _estimator_bandwidths(estimator, h, g)
     batch = _CurveBatch(_resamples_or_generate(sample, plan, support, resamples), grid.points, support)
+    boot = batch.values([(x0, (h, g)) for x0 in x0s])
+    if not all(ok.all() for _, ok in boot):
+        raise DegenerateWeightsError("a bootstrap curve degenerated at the requested bandwidth")
+    own = _sample_curves(sample, [(x0, p) for x0 in x0s for p in (_pilot_point(plan), (h, g))], grid.points, support)
     regions: dict = {method: [] for method in methods}
-    for x0, (curves, ok) in zip(x0s, batch.values([(x0, (h, g)) for x0 in x0s])):
-        if not ok.all():
-            raise DegenerateWeightsError("a bootstrap curve degenerated at the requested bandwidth")
-        pilot = _pilot_values(sample, x0, plan, grid.points, support)
-        center = _single_curve(sample, x0, h, grid.points, support, g)
+    for x0, (curves, _), pilot, center in zip(x0s, boot, own[::2], own[1::2]):
         for method, found in regions.items():
             sigma = bootstrap_sigma(curves) if method == 1 else None
             scale = sigma if method == 1 else np.ones(grid.n_points)

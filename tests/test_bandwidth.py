@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -15,8 +17,8 @@ from condsurv import (
     select_bandwidth_1d,
     select_bandwidth_2d,
 )
-from condsurv.bandwidth import _best_traced, _mean_integrated_sq, _pilot_values, _search
-from condsurv.estimators import _CurveBatch
+from condsurv.bandwidth import _best_traced, _mean_integrated_sq, _pilot_point, _search
+from condsurv.estimators import _CurveBatch, _sample_curves
 from condsurv.resampling import resample
 from condsurv.errors import NoEventsError, SelectionFailedError
 
@@ -286,6 +288,18 @@ class TestSelection:
         b = select_bandwidth_1d(s, 0.5, box, plan, grid)
         assert a.h_star == b.h_star
 
+    def test_a_beran_plan_gets_a_beran_pilot_even_with_a_pilot_s(self):
+        rng = np.random.default_rng(8)
+        s = random_sample(rng, 30)
+        plan = ResamplingPlan(SCHEME_BERAN, pilot_r(s, 1.5), 12, 6)
+        grid = TimeGrid.uniform(float(np.quantile(s.z, 0.9)), 15)
+        rs = resample(s, plan)[0]
+        box = default_covariate_box(s)
+        plain = select_bandwidth_1d(s, 0.5, box, plan, grid, strategy="grid", grid_size=9, resamples=rs)
+        carried = select_bandwidth_1d(s, 0.5, box, replace(plan, pilot_s=pilot_s(s)), grid, strategy="grid",
+                                      grid_size=9, resamples=rs)
+        assert carried.objective_trace == plain.objective_trace
+
     def test_selection_failed_when_pilot_far(self):
         s = SurvivalSample(x=[0.0, 1.0], z=[1.0, 2.0], delta=[1, 1])
         plan = ResamplingPlan(SCHEME_BERAN, 0.5, 0, 3)
@@ -470,7 +484,7 @@ class TestSelection:
 
     def test_trace_values_equal_fresh_batches_bit_for_bit(self):
         s, plan, grid, rs, sel = self._search_2d(9)
-        pilot = _pilot_values(s, 0.5, plan, grid.points, None)
+        pilot = _sample_curves(s, [(0.5, _pilot_point(plan))], grid.points, None)[0]
         warm = _CurveBatch(rs, grid.points)
         for h, g, value in sel.objective_trace:
             cold_values, cold_ok = _CurveBatch(rs, grid.points).values([(0.5, (h, g))])[0]

@@ -1,4 +1,6 @@
 import json
+import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from condsurv import (
     winkler_scores,
     write_report,
 )
-from condsurv.benchmark import BenchReport, _mise_function, _mise_optimal, report_to_dict
+from condsurv.benchmark import BenchReport, _map_with_budget, _mise_function, _mise_optimal, report_to_dict
 from condsurv.errors import SelectionFailedError
 from condsurv.regions import ConfidenceRegion
 
@@ -437,3 +439,18 @@ def test_pool_starts_no_more_workers_than_tasks(monkeypatch, n_samples, workers,
     ))
     assert sizes == [started]
     assert report.samples_completed == n_samples
+
+
+def _failing_first_task(directory, j):
+    """Fails as task 0; a later task leaves a file named after it and takes 50 ms, so the queue outlasts the failure."""
+    if j == 0:
+        raise RuntimeError("task 0 failed")
+    (directory / str(j)).touch()
+    time.sleep(0.05)
+
+
+def test_a_failing_task_cancels_the_queued_tasks(tmp_path):
+    with pytest.raises(RuntimeError, match="^task 0 failed$"):
+        _map_with_budget(partial(_failing_first_task, tmp_path), 12, 2, None)
+    # the pool's exit waits for the tasks already handed to a worker, but the queued ones never run
+    assert len(list(tmp_path.iterdir())) < 11

@@ -502,6 +502,16 @@ class TestFlagValidation:
         assert "missing" in record["message"]
         assert [p.name for p in tmp_path.iterdir()] == ["err.json"]
 
+    def test_fit_writes_nothing_when_an_x0_has_no_kernel_mass(self, tmp_path):
+        # model1 covariates lie in [0, 1], so at h = 0.01 no weight reaches x0 = 9
+        err_path = tmp_path / "err.json"
+        code = main(["fit", "--data", _model_csv(tmp_path), "--x0", "0.5,9", "--h", "0.01",
+                     "--out", str(tmp_path / "o"), "--error-json", str(err_path)])
+        record = json.loads(err_path.read_text())
+        assert code == 3 and record["error"] == "DegenerateWeightsError"
+        assert record["message"] == "all kernel weights vanish at x0=9.0 with bandwidth h=0.01"
+        assert list(tmp_path.glob("o_x*")) == []
+
 
 def _model_csv(tmp_path, n=60, seed=4):
     from condsurv.dataio import save_csv
@@ -559,7 +569,8 @@ class TestSharedResamples:
         }
 
     def test_smoothed_region_builds_the_bootstrap_tensor_once(self, tmp_path, monkeypatch):
-        # one batch serves every x0; the pilot and the centre stay batches of one per x0
+        # one batch serves every x0, and one batch of the sample gives every pilot and centre:
+        # one tensor for the bootstrap g, one for the pilot g and one for the centre g
         from condsurv.estimators import _CurveBatch
 
         rows = []
@@ -576,8 +587,27 @@ class TestSharedResamples:
             "--n-grid", "15", "--support", "0,1", "--out", str(tmp_path / "r"),
         ])
         assert code == 0
-        assert rows.count(12) == 1
-        assert len(rows) == 7
+        assert rows == [12, 1, 1]
+
+    def test_smoothed_selection_builds_one_pilot_tensor_for_every_x0(self, tmp_path, monkeypatch):
+        from condsurv.estimators import _CurveBatch
+
+        builds = []
+        original = _CurveBatch._ik_tensor
+
+        def counted(batch, g):
+            builds.append((batch.B, g))
+            return original(batch, g)
+
+        monkeypatch.setattr(_CurveBatch, "_ik_tensor", counted)
+        code = main([
+            "select-bandwidth", "--data", _model_csv(tmp_path), "--estimator", "smoothed-beran",
+            "--x0", "0.3,0.45,0.6", "--B", "6", "--seed", "3", "--strategy", "grid", "--grid-size", "3",
+            "--n-grid", "15", "--support", "0,1", "--out", str(tmp_path / "s"),
+        ])
+        assert code == 0
+        pilot_g = json.loads((tmp_path / "s_x0p3.json").read_text())["pilot_s"]
+        assert [build for build in builds if build[0] == 1] == [(1, pilot_g)]
 
     def test_smoothed_multistart_selection_multi_x0_equals_single_runs(self, tmp_path, monkeypatch):
         # the searches share each level's tensors; only the build counter tells the runs apart
