@@ -23,7 +23,10 @@ beran ``region`` on times rounded to one decimal, whose beran-scheme laws
 have tied times.  No workload runs these last four.  Every command that reads
 a data file passes ``--support 0,1`` but the last two: a smoothed ``fit`` at
 three x0 and a smoothed ``region --method 1`` at two x0, which compare the
-curves of an unreflected sample.  ``--seed`` is passed to every
+curves of an unreflected sample.  ``smoothed-region-study-pool`` repeats
+the smoothed ``simulate --mode regions`` with ``--workers 2``, so the study
+tasks run in a process pool; the benchmark's ``sim-beran`` workload pools
+only a bandwidth study.  ``--seed`` is passed to every
 command but ``fit``, which takes none.  Every output file is then
 compared: the script prints whether its bytes are equal and, when they are
 not, the largest |difference| over its numbers (CSV cells and JSON numbers)
@@ -76,6 +79,9 @@ EXTRA = {
     "beran-select-4000": ("select-bandwidth", ("--estimator", "beran", "--x0", "0.5", "--B", "8"), (4000, 0.2)),
     "smoothed-region-study": ("simulate", ("--mode", "regions", "--estimator", "smoothed-beran", "--n", "80",
                                            "--n-samples", "2", "--B", "10", "--h", "0.2", "--g", "0.1"), None),
+    "smoothed-region-study-pool": ("simulate", ("--mode", "regions", "--estimator", "smoothed-beran", "--n", "80",
+                                                "--n-samples", "2", "--B", "10", "--h", "0.2", "--g", "0.1",
+                                                "--workers", "2"), None),
     "smoothed-select-grid": ("select-bandwidth", ("--estimator", "smoothed-beran", "--x0", "0.4,0.6",
                                                   "--strategy", "grid", "--grid-size", "12", "--B", "10"),
                              (200, 0.2)),

@@ -50,9 +50,19 @@ class BandwidthSelection:
     search: dict | None = None  # counts: objective_evals, nonfinite_evals, tensor_builds
 
 
+def _quantile(values, q: float) -> float:
+    """np.quantile(values, q) bit for bit (its "linear" method), without the numpy.ma import of np.quantile."""
+    ordered = np.sort(np.asarray(values, dtype=float))
+    virtual = (ordered.size - 1) * q
+    below = math.floor(virtual)
+    a, b = ordered[below], ordered[min(below + 1, ordered.size - 1)]
+    gamma = virtual - below
+    # numpy's two-sided lerp: exact at both ends
+    return float(b - (b - a) * (1 - gamma) if gamma >= 0.5 else a + (b - a) * gamma)
+
+
 def _quantile_spread(values) -> float:
-    lo, hi = np.quantile(np.asarray(values, dtype=float), [0.025, 0.975])
-    return float(hi - lo)
+    return _quantile(values, 0.975) - _quantile(values, 0.025)
 
 
 def _n_events(sample: SurvivalSample) -> int:
@@ -114,13 +124,10 @@ def _resamples_or_generate(sample, plan, support, resamples):
     return resample(sample, plan, support)[0]
 
 
-def _pilot_point(plan: ResamplingPlan) -> tuple:
-    # a beran-scheme plan gets a Beran pilot, even when it carries a pilot_s
-    return (plan.pilot_r, plan.pilot_s if plan.scheme == SCHEME_SMOOTHED else None)
-
-
 def _validate_boxes(boxes, strategy, grid_size) -> tuple:
-    """The search intervals as (low, high) floats, checked to satisfy 0 < low < high < inf, and the grid size."""
+    """Check the strategy and grid size; returns the search intervals as (low, high) floats, 0 < low < high < inf."""
+    if strategy not in ("grid", "multistart"):
+        raise ValueError(f"unknown strategy: {strategy!r}")
     if strategy == "grid" and grid_size < 1:
         raise ValueError(f"a grid search needs at least one point per axis, got grid_size={grid_size!r}")
     labels = ("search box",) if len(boxes) == 1 else ("covariate search box", "time search box")
@@ -164,7 +171,7 @@ def _levels(boxes, strategy, grid_size, trace):
 
     if strategy == "grid":
         yield unseen([np.linspace(lo, hi, grid_size) for lo, hi in boxes])
-    elif strategy == "multistart":
+    else:
         # candidates are integer steps of one lattice, so a point met again is recognized
         top = (_COARSE_POINTS - 1) << _ZOOM_LEVELS
         cell = 1 << _ZOOM_LEVELS
@@ -174,8 +181,6 @@ def _levels(boxes, strategy, grid_size, trace):
             best = [round((v - lo) / (hi - lo) * top) for v, (lo, hi) in zip(_best_traced(trace), boxes)]
             steps = [sorted({min(max(k + j * cell // 2, 0), top) for j in range(-2, 3)}) for k in best]
             cell //= 2
-    else:
-        raise ValueError(f"unknown strategy: {strategy!r}")
 
 
 def _search(values, x0s, boxes, strategy, grid_size) -> list:
@@ -211,7 +216,8 @@ def _select(sample, x0s, boxes, plan, grid, strategy, grid_size, support, resamp
         raise ValueError(f"select_bandwidth_{len(boxes)}d requires a {scheme}-scheme plan")
     boxes = _validate_boxes(boxes, strategy, grid_size)
     x0s = [float(x0) for x0 in x0s]
-    pilots = dict(zip(x0s, _sample_curves(sample, [(x0, _pilot_point(plan)) for x0 in x0s], grid.points, support)))
+    pilot = (plan.pilot_r, plan.pilot_s)
+    pilots = dict(zip(x0s, _sample_curves(sample, [(x0, pilot) for x0 in x0s], grid.points, support)))
     widths = grid.cell_widths
     batch = _CurveBatch(_resamples_or_generate(sample, plan, support, resamples), grid.points, support)
 

@@ -13,6 +13,7 @@ reports do not depend on the worker count.
 from __future__ import annotations
 
 import time
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, field, fields
 from functools import partial
 from pathlib import Path
@@ -270,47 +271,39 @@ def region_metrics(regions, model: SimModel) -> RegionMetrics:
     )
 
 
-def _select_task(config, model, grid, boxes, j):
+def _sample_task(config, model, grid, boxes, h, g, j):
+    """Sample j of a study and its plan, then its selection or, in regions mode, its region of each method."""
     sample = generate_sample(model, config.n, substream(config.seed, 0, j))
     plan = _resampling_plan(config.estimator, sample, model.pilot_c, child_seed(config.seed, 1, j),
                             config.B)
-    return _select(sample, [model.x0], boxes, plan, grid, config.strategy, config.grid_size, model.support,
-                   None)[0]
-
-
-def _region_task(config, model, grid, h, g, j):
-    sample = generate_sample(model, config.n, substream(config.seed, 0, j))
-    plan = _resampling_plan(config.estimator, sample, model.pilot_c, child_seed(config.seed, 1, j),
-                            config.B)
+    if config.mode == "bandwidth":
+        return _select(sample, [model.x0], boxes, plan, grid, config.strategy, config.grid_size, model.support,
+                       None)[0]
     regions = _region(config.methods, sample, (model.x0,), h, plan, grid, alpha=config.alpha, g=g,
                       estimator=config.estimator, support=model.support)
     return {method: found[0] for method, found in regions.items()}
 
 
 def _map_with_budget(fn, n_tasks: int, workers: int, deadline: float | None):
-    results, incomplete = [], False
-    if workers <= 1:
-        for j in range(n_tasks):
-            if deadline is not None and time.perf_counter() > deadline:
-                incomplete = True
-                break
-            results.append(fn(j))
-        return results, incomplete
-    from concurrent.futures import ProcessPoolExecutor
+    """([fn(0), fn(1), ...], incomplete), in task order; once the deadline has passed, no further result is taken."""
+    results = []
+    with ExitStack() as stack:
+        if workers > 1:
+            from concurrent.futures import ProcessPoolExecutor
 
-    # a fork pool starts all its workers at the first submit, so start no more than there are tasks
-    with ProcessPoolExecutor(max_workers=min(workers, n_tasks)) as pool:
-        futures = [pool.submit(fn, j) for j in range(n_tasks)]
-        try:
-            for fut in futures:
-                if deadline is not None and time.perf_counter() > deadline:
-                    incomplete = True
-                    break
-                results.append(fut.result())
-        finally:  # past the deadline or a failed task, the pool's exit waits only for the tasks already started
-            for fut in futures:
-                fut.cancel()
-    return results, incomplete
+            # a fork pool starts all its workers at the first submit, so start no more than there are tasks
+            pool = stack.enter_context(ProcessPoolExecutor(max_workers=min(workers, n_tasks)))
+            futures = [pool.submit(fn, j) for j in range(n_tasks)]
+            # past the deadline or a failed task, the pool's exit waits only for the tasks already started
+            stack.callback(lambda: [fut.cancel() for fut in futures])
+            calls = [fut.result for fut in futures]
+        else:
+            calls = [partial(fn, j) for j in range(n_tasks)]
+        for call in calls:
+            if deadline is not None and time.perf_counter() > deadline:
+                return results, True
+            results.append(call())
+    return results, False
 
 
 def run_benchmark(config: BenchConfig) -> BenchReport:
@@ -350,36 +343,30 @@ def run_benchmark(config: BenchConfig) -> BenchReport:
         del mise  # frees the ground-truth samples before the sample tasks run
         h, g = bandwidths if smoothed else (*bandwidths, None)
 
-    if config.mode == "bandwidth":
-        task = partial(_select_task, config, model, grid, boxes)
-        selections, report.incomplete = _map_with_budget(task, config.n_samples, config.workers, deadline)
-        report.samples_completed = len(selections)
-        report.h_mise, report.g_mise, report.rmise_at_optimal = h, g, rmise_opt
-        report.search = {key: sum(s.search[key] for s in selections)
-                         for key in ("objective_evals", "nonfinite_evals", "tensor_builds")}
-        if selections:
-            mise_at = _mise_function(model, grid, config.mise_samples, config.n, child_seed(config.seed, 5))
-            queries = [(model.x0, (s.h_star, s.g_star)) for s in selections] + [(model.x0, (h, g))]
-            *rmise_selected, rmise_ref = (float(np.sqrt(value)) for value in mise_at(queries))
-            report.bandwidth_metrics = relative_metrics(
-                selections, h, rmise_selected, rmise_ref, g_mise=g
-            )
-            report.h_stars = [s.h_star for s in selections]
-            if g is not None:
-                report.g_stars = [s.g_star for s in selections]
+    task = partial(_sample_task, config, model, grid, boxes, h, g)
+    results, report.incomplete = _map_with_budget(task, config.n_samples, config.workers, deadline)
+    report.samples_completed = len(results)
+    if config.mode == "regions":
+        report.bandwidth_h, report.bandwidth_g = h, g
+        if results:
+            report.region_metrics_by_method = {
+                f"method{m}": asdict(region_metrics([row[m] for row in results], model)) for m in config.methods
+            }
+            if config.keep_regions:
+                report.regions = {m: [row[m] for row in results] for m in config.methods}
         return report
 
-    task = partial(_region_task, config, model, grid, h, g)
-    per_sample, report.incomplete = _map_with_budget(task, config.n_samples, config.workers, deadline)
-    report.samples_completed = len(per_sample)
-    report.bandwidth_h, report.bandwidth_g = h, g
-    if per_sample:
-        report.region_metrics_by_method = {
-            f"method{m}": asdict(region_metrics([row[m] for row in per_sample], model))
-            for m in config.methods
-        }
-        if config.keep_regions:
-            report.regions = {m: [row[m] for row in per_sample] for m in config.methods}
+    report.h_mise, report.g_mise, report.rmise_at_optimal = h, g, rmise_opt
+    report.search = {key: sum(s.search[key] for s in results)
+                     for key in ("objective_evals", "nonfinite_evals", "tensor_builds")}
+    if results:
+        mise_at = _mise_function(model, grid, config.mise_samples, config.n, child_seed(config.seed, 5))
+        queries = [(model.x0, (s.h_star, s.g_star)) for s in results] + [(model.x0, (h, g))]
+        *rmise_selected, rmise_ref = (float(np.sqrt(value)) for value in mise_at(queries))
+        report.bandwidth_metrics = relative_metrics(results, h, rmise_selected, rmise_ref, g_mise=g)
+        report.h_stars = [s.h_star for s in results]
+        if g is not None:
+            report.g_stars = [s.g_star for s in results]
     return report
 
 

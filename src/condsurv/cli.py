@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .bandwidth import _resampling_plan, _select, _validate_boxes, default_covariate_box, default_time_box
+from .bandwidth import _quantile, _resampling_plan, _select, _validate_boxes, default_covariate_box, default_time_box
 from .benchmark import BenchConfig, make_model, run_benchmark, scaling_study, write_report
 from .dataio import DatasetSchema, _write_csv, _write_json, filter_subpopulation, load_csv
 from .errors import (
@@ -271,7 +271,7 @@ def _prepare(args):
     if not os.path.isdir(directory):
         raise FileNotFoundError(f"the output directory {directory!r} does not exist")
     sample, filters = _load_dataset(args)
-    t_max = float(np.quantile(sample.z, 0.95)) if args.t_max is None else args.t_max
+    t_max = _quantile(sample.z, 0.95) if args.t_max is None else args.t_max
     if t_max <= 0.0:
         raise ValueError("the time grid upper end must be positive")
     grid = TimeGrid.uniform(t_max, args.n_grid)
@@ -337,7 +337,7 @@ def _cmd_simulate(args) -> int:
         model = make_model(args.model, args.censoring)
         if not all(v >= 1.0 and v.is_integer() for v in args.sizes):
             raise ValueError(f"--sizes expects whole numbers of at least 1, got {args.sizes!r}")
-        result = scaling_study(model, args.sizes, args.B, args.seed)
+        result = scaling_study(model, args.sizes, args.B, args.seed, n_grid=args.n_grid)
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "timings.json", result)

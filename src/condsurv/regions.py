@@ -16,7 +16,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bandwidth import _pilot_point, _resamples_or_generate
+from .bandwidth import _resamples_or_generate
 from .dataio import _write_csv, _write_json
 from .errors import DegenerateVarianceError, DegenerateWeightsError, InsufficientReplicatesError
 from .estimators import _CurveBatch, _estimator_bandwidths, _sample_curves
@@ -144,11 +144,8 @@ def clamp_and_plateau_fix(region: ConfidenceRegion) -> ConfidenceRegion:
         below = np.flatnonzero(lower < 1.0)
         if below.size == 0:
             degenerate = True
-        else:
-            run_end = np.flatnonzero(~flat)
-            lead = run_end[0] if run_end.size else lower.size
-            first_drop = below[0]
-            lower[: min(lead, first_drop)] = lower[first_drop]
+        else:  # a point with lower < 1 is not flat, so the plateau ends at or before below[0]
+            lower[:np.argmin(flat)] = lower[below[0]]
     return replace(region, lower=lower, upper=upper, degenerate=degenerate)
 
 
@@ -173,7 +170,8 @@ def _region(methods, sample, x0s, h, plan, grid, alpha=0.05, g=None, estimator="
     boot = batch.values([(x0, (h, g)) for x0 in x0s])
     if not all(ok.all() for _, ok in boot):
         raise DegenerateWeightsError("a bootstrap curve degenerated at the requested bandwidth")
-    own = _sample_curves(sample, [(x0, p) for x0 in x0s for p in (_pilot_point(plan), (h, g))], grid.points, support)
+    own = _sample_curves(sample, [(x0, p) for x0 in x0s for p in ((plan.pilot_r, plan.pilot_s), (h, g))],
+                         grid.points, support)
     regions: dict = {method: [] for method in methods}
     for x0, (curves, _), pilot, center in zip(x0s, boot, own[::2], own[1::2]):
         for method, found in regions.items():

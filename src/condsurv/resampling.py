@@ -74,6 +74,8 @@ class ResamplingPlan:
         if self.scheme == SCHEME_SMOOTHED:
             if self.pilot_s is None or not 0.0 < self.pilot_s < np.inf:
                 raise ValueError("smoothed-beran plans require a positive finite pilot_s")
+        elif self.pilot_s is not None:
+            raise ValueError(f"beran plans take no pilot_s, got {self.pilot_s!r}")
 
 
 @dataclass

@@ -75,6 +75,16 @@ def reference_product_limit_rows(w, d):
     return np.cumprod(factors, axis=1)
 
 
+class FakeClock:
+    """A stand-in for a module's `time`: perf_counter reads `times` in turn, then stays at the last."""
+
+    def __init__(self, *times):
+        self.times = list(times)
+
+    def perf_counter(self):
+        return self.times.pop(0) if len(self.times) > 1 else self.times[0]
+
+
 def fresh_python(args, cwd=None, env=None):
     """Run `python args...` in a new interpreter that imports this checkout of condsurv.
 

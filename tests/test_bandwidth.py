@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -17,12 +15,24 @@ from condsurv import (
     select_bandwidth_1d,
     select_bandwidth_2d,
 )
-from condsurv.bandwidth import _best_traced, _mean_integrated_sq, _pilot_point, _search
+from condsurv import bandwidth
+from condsurv.bandwidth import _best_traced, _mean_integrated_sq, _quantile, _search
 from condsurv.estimators import _CurveBatch, _sample_curves
 from condsurv.resampling import resample
 from condsurv.errors import NoEventsError, SelectionFailedError
 
 from conftest import eval_steps, pure_product_limit, random_sample
+
+
+@pytest.mark.parametrize("values", [
+    np.random.default_rng(4).normal(size=40),  # a lerp from the lower end alone is off by an ulp at q = 0.025, 0.5
+    np.round(np.random.default_rng(4).exponential(size=40), 1),  # ties
+    [2.5, -1.0],
+    [0.7],
+])
+@pytest.mark.parametrize("q", [0.025, 0.5, 0.95, 0.975])
+def test_quantile_equals_numpys_linear_quantile_bit_for_bit(values, q):
+    assert _quantile(values, q) == np.quantile(values, q)
 
 
 class TestPilots:
@@ -288,17 +298,18 @@ class TestSelection:
         b = select_bandwidth_1d(s, 0.5, box, plan, grid)
         assert a.h_star == b.h_star
 
-    def test_a_beran_plan_gets_a_beran_pilot_even_with_a_pilot_s(self):
-        rng = np.random.default_rng(8)
-        s = random_sample(rng, 30)
+    def test_a_beran_plan_rejects_a_pilot_s(self):
+        # neither the beran resampler nor its pilot curve uses pilot_s, so a plan carrying one would misrecord it
+        with pytest.raises(ValueError, match="^beran plans take no pilot_s, got 0.2$"):
+            ResamplingPlan(SCHEME_BERAN, 0.1, 12, 6, pilot_s=0.2)
+
+    def test_an_unknown_strategy_is_rejected_before_any_resample(self, monkeypatch):
+        monkeypatch.setattr(bandwidth, "resample", lambda *a, **k: pytest.fail("resamples were drawn"))
+        s = random_sample(np.random.default_rng(8), 30)
         plan = ResamplingPlan(SCHEME_BERAN, pilot_r(s, 1.5), 12, 6)
         grid = TimeGrid.uniform(float(np.quantile(s.z, 0.9)), 15)
-        rs = resample(s, plan)[0]
-        box = default_covariate_box(s)
-        plain = select_bandwidth_1d(s, 0.5, box, plan, grid, strategy="grid", grid_size=9, resamples=rs)
-        carried = select_bandwidth_1d(s, 0.5, box, replace(plan, pilot_s=pilot_s(s)), grid, strategy="grid",
-                                      grid_size=9, resamples=rs)
-        assert carried.objective_trace == plain.objective_trace
+        with pytest.raises(ValueError, match="^unknown strategy: 'bogus'$"):
+            select_bandwidth_1d(s, 0.5, (0.1, 0.5), plan, grid, strategy="bogus")
 
     def test_selection_failed_when_pilot_far(self):
         s = SurvivalSample(x=[0.0, 1.0], z=[1.0, 2.0], delta=[1, 1])
@@ -484,7 +495,7 @@ class TestSelection:
 
     def test_trace_values_equal_fresh_batches_bit_for_bit(self):
         s, plan, grid, rs, sel = self._search_2d(9)
-        pilot = _sample_curves(s, [(0.5, _pilot_point(plan))], grid.points, None)[0]
+        pilot = _sample_curves(s, [(0.5, (plan.pilot_r, plan.pilot_s))], grid.points, None)[0]
         warm = _CurveBatch(rs, grid.points)
         for h, g, value in sel.objective_trace:
             cold_values, cold_ok = _CurveBatch(rs, grid.points).values([(0.5, (h, g))])[0]

@@ -19,9 +19,11 @@ from condsurv import (
     winkler_scores,
     write_report,
 )
+from condsurv import benchmark
 from condsurv.benchmark import BenchReport, _map_with_budget, _mise_function, _mise_optimal, report_to_dict
 from condsurv.errors import SelectionFailedError
 from condsurv.regions import ConfidenceRegion
+from conftest import FakeClock
 
 
 def mc_mise_at(model, h, g=None, *, n_samples, n, grid, seed):
@@ -270,7 +272,7 @@ class TestRunBenchmark:
 
     def test_region_task_draws_one_batch_for_both_methods(self, monkeypatch):
         import condsurv.regions as regions
-        from condsurv.benchmark import _region_task
+        from condsurv.benchmark import _sample_task
         from condsurv.estimators import _CurveBatch
         from condsurv.samples import TimeGrid
         from condsurv.simulation import make_model
@@ -289,7 +291,7 @@ class TestRunBenchmark:
             n=40, n_samples=1, B=6, n_grid=10, seed=3, bandwidth_h=0.3, bandwidth_g=0.1,
         )
         model = make_model(config.model, config.censoring)
-        found = _region_task(config, model, TimeGrid.uniform(model.t_max, config.n_grid), 0.3, 0.1, 0)
+        found = _sample_task(config, model, TimeGrid.uniform(model.t_max, config.n_grid), None, 0.3, 0.1, 0)
         assert set(found) == {1, 2}
         assert sizes.count(config.B) == 1
 
@@ -454,3 +456,29 @@ def test_a_failing_task_cancels_the_queued_tasks(tmp_path):
         _map_with_budget(partial(_failing_first_task, tmp_path), 12, 2, None)
     # the pool's exit waits for the tasks already handed to a worker, but the queued ones never run
     assert len(list(tmp_path.iterdir())) < 11
+
+
+def _square(j):
+    return j * j
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_deadline_passed_after_the_first_result_stops_the_map(monkeypatch, workers):
+    monkeypatch.setattr(benchmark, "time", FakeClock(0.0, 2.0))
+    assert _map_with_budget(_square, 4, workers, 1.0) == ([0], True)
+
+
+def _budget_regions_study(n_samples, budget_seconds=None):
+    return BenchConfig(
+        model="model1", censoring=0.2, estimator="beran", mode="regions", n=25, n_samples=n_samples, B=5,
+        n_grid=10, seed=11, bandwidth_h=0.3, budget_seconds=budget_seconds,
+    )
+
+
+def test_a_regions_study_that_runs_out_after_one_task_reports_that_task(monkeypatch):
+    # the clock is read to set the deadline, before task 0, and before task 1
+    monkeypatch.setattr(benchmark, "time", FakeClock(0.0, 0.0, 2.0))
+    report = run_benchmark(_budget_regions_study(3, budget_seconds=1.0))
+    assert report.incomplete and report.samples_completed == 1
+    first = run_benchmark(_budget_regions_study(1))
+    assert report.region_metrics_by_method == first.region_metrics_by_method

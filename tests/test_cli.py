@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from condsurv.cli import main
-from conftest import fresh_python
+from conftest import FakeClock, fresh_python
 
 BASIC = "x,z,delta\n0.5,1.0,1\n0.5,2.0,0\n0.5,3.0,1\n"
 
@@ -744,6 +744,18 @@ class TestSimulateCommand:
         report = json.loads((out / "report.json").read_text())
         assert report["incomplete"]
 
+    def test_a_regions_study_out_of_budget_after_one_task_exits_4(self, tmp_path, monkeypatch):
+        import condsurv.benchmark
+
+        # the clock is read to set the deadline, before task 0, and before task 1
+        monkeypatch.setattr(condsurv.benchmark, "time", FakeClock(0.0, 0.0, 100.0))
+        out = tmp_path / "budget"
+        code = main(["simulate", "--mode", "regions", "--estimator", "beran", "--h", "0.3", "--n", "25",
+                     "--n-samples", "3", "--B", "5", "--n-grid", "10", "--seed", "11", "--budget-minutes", "1",
+                     "--out", str(out)])
+        assert code == 4
+        report = json.loads((out / "report.json").read_text())
+        assert report["incomplete"] and report["samples_completed"] == 1
 
     def test_beran_regions_report_records_no_time_bandwidth(self, tmp_path):
         argv = ["simulate", "--mode", "regions", "--estimator", "beran", "--n", "30", "--n-samples", "1",
@@ -806,6 +818,15 @@ class TestBenchCommand:
                      "--out", str(out)])
         assert code == 0
         assert set(json.loads((out / "timings.json").read_text())["timings_seconds"]) == {"30", "40"}
+
+    def test_scaling_mode_passes_the_time_grid_size(self, tmp_path, monkeypatch):
+        import condsurv.cli as cli
+
+        calls = []
+        monkeypatch.setattr(cli, "scaling_study", lambda *a, **k: calls.append(k) or {})
+        code = main(["bench", "--mode", "scaling", "--sizes", "30", "--B", "2", "--seed", "3", "--n-grid", "7",
+                     "--out", str(tmp_path / "scale")])
+        assert code == 0 and calls == [{"n_grid": 7}]
 
     def test_scaling_mode(self, tmp_path):
         out = tmp_path / "scale"
@@ -1005,6 +1026,17 @@ def test_smoothed_region_bytes_do_not_depend_on_how_the_ufuncs_load(tmp_path):
     assert outputs["loader"] and all(
         a.read_bytes() == b.read_bytes() for a, b in zip(outputs["loader"], outputs["public"])
     )
+
+
+def test_data_commands_and_simulate_leave_numpy_ma_unloaded(tmp_path):
+    # np.quantile imports numpy.ma through np.unique
+    argvs = [_smoothed_argv(tmp_path, name, name) for name in sorted(SMOOTHED_COMMANDS)]
+    argvs.append(["simulate", "--estimator", "smoothed-beran", *TestSimulateCountsCheckedFirst.BASE,
+                  "--n-samples", "1", "--out", str(tmp_path / "s")])
+    code = f"import sys; from condsurv.cli import main; print([main(a) for a in {argvs!r}], 'numpy.ma' in sys.modules)"
+    proc = fresh_python(["-c", code], cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0] False"
 
 
 @pytest.mark.parametrize("command", ["simulate", "bench"])
